@@ -370,8 +370,8 @@ def proposition_experiment(lo: int = 20, hi: int = 30, jobs: int = 1) -> Proposi
     if jobs == 1:
         results = map(_tuple_exponents, tuples)
     else:
-        pool = ProcessPoolExecutor(max_workers=jobs)
-        results = pool.map(_tuple_exponents, tuples, chunksize=64)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_tuple_exponents, tuples, chunksize=64))
     span = max(4, hi - lo)
     rows = []
     for mu, (d1, d2) in zip(tuples, results):
@@ -387,6 +387,4 @@ def proposition_experiment(lo: int = 20, hi: int = 30, jobs: int = 1) -> Proposi
                 hypothesis_ok=all(2 * m < total for m in mu),
             )
         )
-    if jobs > 1:
-        pool.shutdown()
     return PropositionReport(lo=lo, hi=hi, rows=tuple(rows))

@@ -1,22 +1,29 @@
 """Normalized linear forms and weighted central line arrangements in the plane.
 
 A hyperplane through the origin of K^2 is the kernel of a linear form
-``a*x + b*y``; the form is stored scaled so its first nonzero coefficient is
-one, which makes equal kernels compare equal.  A multiarrangement assigns a
-positive integer multiplicity to each of finitely many distinct hyperplanes.
+``a*x + b*y``; the form is stored in a normal form, so equal kernels compare
+equal.  Over Q that is the primitive integer pair with positive leading
+coefficient, over F_p the pair with leading coefficient one.  A
+multiarrangement assigns a positive integer multiplicity to each of finitely
+many distinct hyperplanes.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .field import Field, FieldElement
 
 
 class LinearForm:
-    """A nonzero linear form ``ax*x + ay*y``, normalized to leading coefficient 1.
+    """A nonzero linear form ``ax*x + ay*y`` in normal form.
 
-    Normalization scales the pair so that ``ax == 1`` when ``ax != 0`` and
-    ``(ax, ay) == (0, 1)`` otherwise; two forms with the same kernel are
-    therefore identical objects in the ``==`` sense.
+    Over Q the pair is scaled to coprime integers with ``ax > 0``, or to
+    ``(0, 1)`` when ``ax == 0``; over F_p it is scaled so that ``ax == 1``,
+    or to ``(0, 1)``.  Two forms with the same kernel are therefore identical
+    objects in the ``==`` sense.  Forms order and print by their slope
+    ``ay/ax``: y first, then ``x + c*y`` by increasing c.
     """
 
     __slots__ = ("field", "ax", "ay")
@@ -26,11 +33,16 @@ class LinearForm:
         b = field.coerce(ay)
         if not a and not b:
             raise ValueError("the zero form does not define a hyperplane")
-        if a:
-            b = field.div_raw(b, a)
-            a = 1
+        if field.characteristic:
+            a, b = (1, field.div_raw(b, a)) if a else (0, 1)
         else:
-            b = 1
+            den = lcm(a.denominator, b.denominator)
+            a = a.numerator * (den // a.denominator)
+            b = b.numerator * (den // b.denominator)
+            g = gcd(a, b)
+            if a < 0 or (not a and b < 0):
+                g = -g
+            a, b = a // g, b // g
         self.field = field
         self.ax = FieldElement._wrap(field, a)
         self.ay = FieldElement._wrap(field, b)
@@ -40,11 +52,13 @@ class LinearForm:
 
     def point_raw(self):
         """A raw point (ay, -ax) spanning the kernel of the form."""
-        return (self.ay.value, self.field.neg_raw(self.ax.value))
+        p = self.field.characteristic
+        return (self.ay.value, -self.ax.value % p if p else -self.ax.value)
 
     def sort_key(self):
         """Key for the canonical ordering of forms (y sorts before x + c*y)."""
-        return (self.ax.value, self.ay.value)
+        a, b = self.ax.value, self.ay.value
+        return (a, b) if a <= 1 else (1, Fraction(b, a))
 
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
@@ -62,6 +76,8 @@ class LinearForm:
         a, b = self.ax.value, self.ay.value
         if not a:
             return "y"
+        if a != 1:
+            b = Fraction(b, a)
         if not b:
             return "x"
         if b == 1:
@@ -148,13 +164,6 @@ class Multiarrangement:
         else:
             new[form] = m - 1
         return Multiarrangement(self.field, new)
-
-    def __le__(self, other):
-        if not isinstance(other, Multiarrangement):
-            return NotImplemented
-        if other.field != self.field:
-            raise ValueError("arrangements live over different fields")
-        return all(m <= other.multiplicity(f) for f, m in self._mult.items())
 
     def __eq__(self, other):
         if not isinstance(other, Multiarrangement):

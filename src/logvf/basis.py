@@ -10,6 +10,7 @@ Correctness of a claimed pair is decided by Saito's criterion.
 from __future__ import annotations
 
 import enum
+from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
 from .derivation import Derivation, saito_determinant
@@ -89,6 +90,11 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
     has multiplicity ``mult``.  Returns ``(theta1', theta2', branch, f', g')``
     where the primed pair is a basis once that multiplicity is mult + 1.
 
+    Over Q both members must be primitive integer derivations, like every
+    member returned here: by Gauss's lemma their products with the primitive
+    form stay primitive, with the same sign, so only the generic combination
+    is reduced and every value stays an integer.
+
     ``f_quot``/``g_quot``, when supplied, must equal theta_i(form) divided by
     form^mult; the returned ``f'``/``g'`` are the same quotients for the
     updated pair at multiplicity mult + 1, so a caller ramping up one
@@ -99,8 +105,6 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
     if theta1.degree < theta2.degree:
         theta1, theta2 = theta2, theta1
         f_quot, g_quot = g_quot, f_quot
-    field = theta1.field
-    rational = field.characteristic == 0
     if g_quot is None:
         g_quot = theta2.apply(form).div_linear_power(form, mult)
     px, py = form.point_raw()
@@ -108,14 +112,8 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
 
     if not g_val:
         # form^(mult+1) already divides theta2(form): multiply theta1 instead
-        new1 = theta1.times_linear(form)
-        factor1 = 1
-        if rational:
-            new1, factor1 = new1.primitive()
-        if f_quot is not None and factor1 != 1:
-            f_quot = f_quot.scale(factor1)
         g_quot = g_quot.div_linear_power(form, 1)
-        return new1, theta2, Branch.G_VANISHING, f_quot, g_quot
+        return theta1.times_linear(form), theta2, Branch.G_VANISHING, f_quot, g_quot
 
     if f_quot is None:
         f_quot = theta1.apply(form).div_linear_power(form, mult)
@@ -123,50 +121,37 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
 
     if not f_val:
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
-        new2 = theta2.times_linear(form)
-        factor2 = 1
-        if rational:
-            new2, factor2 = new2.primitive()
-        if factor2 != 1:
-            g_quot = g_quot.scale(factor2)
         f_quot = f_quot.div_linear_power(form, 1)
-        return theta1, new2, Branch.F_VANISHING, f_quot, g_quot
+        return theta1, theta2.times_linear(form), Branch.F_VANISHING, f_quot, g_quot
 
-    # generic case: clear the obstruction with theta1 + q*theta2, q as below
+    # generic case: clear the obstruction with den*theta1 + q*theta2, where
+    # q = num*y^d + den*(x^d + x^(d-1)*y + ... + x*y^(d-1)), or num*x^d when
+    # the form is y, and num/den makes (den*f + q*g)(point) = 0
+    field = theta1.field
+    p = field.characteristic
     d = theta1.degree - theta2.degree
-    ax, ay = form.ax.value, form.ay.value
-    if not ax:
-        # form is y, kernel point (1, 0): q needs only its x^d coefficient
-        q_top = field.div_raw(field.neg_raw(f_val), g_val)
-        q = HomogPoly._raw(field, d, (0,) * d + (q_top,))
-    else:
-        # q = q0*y^d + x^d + x^(d-1)*y + ... + x*y^(d-1) with q0 chosen so
-        # that (f + q*g)(point) = 0
-        neg_ax = field.neg_raw(ax)
-        q0 = field.div_raw(
-            field.neg_raw(f_val), field.mul_raw(g_val, field.pow_raw(neg_ax, d))
-        )
-        ratio = field.div_raw(ay, neg_ax)
-        power = 1
+    if py:
+        tail, power = 0, 1
         for _ in range(d):
-            power = field.mul_raw(power, ratio)
-            q0 = field.sub_raw(q0, power)
-        q = HomogPoly._raw(field, d, (q0,) + (1,) * d)
-
-    new1 = theta1.plus_scaled(q, theta2)
-    factor1 = 1
-    if rational:
-        new1, factor1 = new1.primitive()
-    new2 = theta2.times_linear(form)
-    factor2 = 1
-    if rational:
-        new2, factor2 = new2.primitive()
-    f_quot = (f_quot + q * g_quot).div_linear_power(form, 1)
-    if factor1 != 1:
-        f_quot = f_quot.scale(factor1)
-    if factor2 != 1:
-        g_quot = g_quot.scale(factor2)
-    return new1, new2, Branch.GENERIC, f_quot, g_quot
+            power = power * px % p if p else power * px
+            tail = (tail * py + power) % p if p else tail * py + power
+        num, den = -f_val - tail * g_val, g_val * pow(py, d, p or None)
+    else:
+        # form is y, kernel point (1, 0)
+        num, den = -f_val, g_val
+    if p:
+        num, den = num * pow(den, -1, p) % p, 1
+    else:
+        c = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // c, den // c
+    q = HomogPoly._raw(field, d, (num,) + (den,) * d if py else (0,) * d + (num,))
+    new1, factor = theta1.scale(den).plus_scaled(q, theta2).primitive()
+    f_quot = (f_quot.scale(den) + q * g_quot).div_linear_power(form, 1)
+    if factor != 1:
+        # primitive() divided new1 by an integer content; f' follows exactly
+        n, m = factor.numerator, factor.denominator
+        f_quot = HomogPoly._raw(field, f_quot.degree, tuple(c * n // m for c in f_quot.coeffs))
+    return new1, theta2.times_linear(form), Branch.GENERIC, f_quot, g_quot
 
 
 def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
@@ -176,13 +161,15 @@ def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
     hyperplane of ``form`` currently has multiplicity ``mult`` (0 if absent);
     the result is a basis after raising that multiplicity to mult + 1.  The
     precondition is trusted, not re-verified, but a violation that breaks an
-    exact division raises InexactDivisionError.
+    exact division raises InexactDivisionError.  Over Q both members are
+    first reduced to primitive integer form.
     """
     if form.field != pair.field:
         raise ValueError("form and pair live over different fields")
     if mult < 0:
         raise ValueError("multiplicity must be nonnegative")
-    theta1, theta2, _, _, _ = _step(pair.theta1, pair.theta2, form, mult)
+    theta1, theta2 = (theta.primitive()[0] for theta in pair)
+    theta1, theta2, _, _, _ = _step(theta1, theta2, form, mult)
     return BasisPair(theta1, theta2)
 
 

@@ -10,9 +10,10 @@ derivation takes on that form.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .arrangement import LinearForm, Multiarrangement
-from .field import Field, _rational, _shrink
+from .field import Field, _shrink
 from .poly import HomogPoly, InexactDivisionError
 
 
@@ -111,27 +112,22 @@ class Derivation:
         """
         if self.field.characteristic:
             return self, 1
-        values = [c for c in self.f.coeffs + self.g.coeffs if c]
-        lcm_den = 1
-        for v in values:
-            lcm_den = math.lcm(lcm_den, int(v.denominator))
-        scaled = [int(v.numerator) * (lcm_den // int(v.denominator)) for v in values]
-        gcd_num = 0
-        for s in scaled:
-            gcd_num = math.gcd(gcd_num, s)
-            if gcd_num == 1 and lcm_den == 1:
-                break
-        sign = -1 if scaled[-1] < 0 else 1
-        if lcm_den == 1 and gcd_num == 1 and sign == 1:
+        f, g = self.f.coeffs, self.g.coeffs
+        try:
+            k, lcm_den = math.gcd(*f, *g), 1
+        except TypeError:  # Fraction coefficients: clear denominators first
+            lcm_den = math.lcm(*(c.denominator for c in f + g))
+            f = tuple(c.numerator * (lcm_den // c.denominator) for c in f)
+            g = tuple(c.numerator * (lcm_den // c.denominator) for c in g)
+            k = math.gcd(*f, *g)
+        if next(c for c in reversed(f + g) if c) < 0:
+            k = -k
+        if lcm_den == 1 and k == 1:
             return self, 1
-        factor = _shrink(_rational(sign * lcm_den, gcd_num))
-        it = iter(scaled)
-        new_f = tuple(0 if not c else sign * (next(it) // gcd_num) for c in self.f.coeffs)
-        new_g = tuple(0 if not c else sign * (next(it) // gcd_num) for c in self.g.coeffs)
         reduced = Derivation.__new__(Derivation)
-        reduced.f = HomogPoly._raw(self.field, self.f.degree, new_f)
-        reduced.g = HomogPoly._raw(self.field, self.g.degree, new_g)
-        return reduced, factor
+        reduced.f = HomogPoly._raw(self.field, self.f.degree, tuple(c // k for c in f))
+        reduced.g = HomogPoly._raw(self.field, self.g.degree, tuple(c // k for c in g))
+        return reduced, _shrink(Fraction(lcm_den, k))
 
     # ------------------------------------------------------------------
 

@@ -1,10 +1,9 @@
 """Exact scalar arithmetic over the rationals and over prime finite fields.
 
-Rational values are backed by ``gmpy2.mpq`` when available and by
-``fractions.Fraction`` otherwise.  A rational that happens to be an integer is
-stored as a plain ``int`` so that the frequent all-integer coefficient chains
-stay in fast native arithmetic.  Prime-field residues are plain ``int`` values
-reduced into ``[0, p)``.
+Rational values are ``fractions.Fraction``; a rational that happens to be an
+integer is stored as a plain ``int``.  The basis construction over Q keeps
+every coefficient integral, so its chains run entirely in native ints.
+Prime-field residues are plain ``int`` values reduced into ``[0, p)``.
 
 The "raw" values described above are what the polynomial layer stores
 internally; :class:`FieldElement` is the public scalar wrapper.
@@ -16,10 +15,12 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _rational = Fraction
+_rational = Fraction  # the rational type, named for tools that report it
+
+# The first 13 primes decide Miller-Rabin primality exactly for every n below
+# _MR_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 
 class FieldKind(enum.Enum):
@@ -28,13 +29,30 @@ class FieldKind(enum.Enum):
 
 
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test, exact for n < _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(
+            f"characteristic {n} is too large: primality is decided only below {_MR_LIMIT}"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1 if d == 2 else 2
     return True
 
 
@@ -89,7 +107,7 @@ class Field:
     def coerce(self, x):
         """Convert ``x`` to a raw backend scalar.
 
-        Accepts ints, Fractions (and gmpy2 rationals), numeric strings such as
+        Accepts ints, Fractions, numeric strings such as
         ``"2/3"`` or ``"-5"``, and FieldElements of this same field.  Floats
         are rejected to keep every computation exact.
         """
@@ -114,33 +132,17 @@ class Field:
                 num, den = x.numerator, x.denominator
             except AttributeError:
                 raise ValueError(f"cannot interpret {x!r} as a field element") from None
-            den = int(den) % p
+            den %= p
             if den == 0:
                 raise ZeroDivisionError(f"denominator of {x} vanishes modulo {p}")
-            return int(num) * pow(den, -1, p) % p
+            return num * pow(den, -1, p) % p
         if isinstance(x, int):
             return x
         try:
             num, den = x.numerator, x.denominator
         except AttributeError:
             raise ValueError(f"cannot interpret {x!r} as a field element") from None
-        return _shrink(_rational(int(num), int(den)))
-
-    def add_raw(self, a, b):
-        p = self.characteristic
-        return (a + b) % p if p else a + b
-
-    def sub_raw(self, a, b):
-        p = self.characteristic
-        return (a - b) % p if p else a - b
-
-    def mul_raw(self, a, b):
-        p = self.characteristic
-        return (a * b) % p if p else a * b
-
-    def neg_raw(self, a):
-        p = self.characteristic
-        return (-a) % p if p else -a
+        return _shrink(Fraction(num, den))
 
     def div_raw(self, a, b):
         if not b:
@@ -148,20 +150,7 @@ class Field:
         p = self.characteristic
         if p:
             return a * pow(b, -1, p) % p
-        return _shrink(_rational(a) / b)
-
-    def inv_raw(self, a):
-        return self.div_raw(1, a)
-
-    def pow_raw(self, a, n: int):
-        p = self.characteristic
-        if p:
-            return pow(a, n, p)
-        if n < 0:
-            if not a:
-                raise ZeroDivisionError("zero has no negative powers")
-            return _shrink(_rational(a) ** n)
-        return a**n
+        return _shrink(Fraction(a) / b)
 
 
 RATIONALS = Field(0)
@@ -193,19 +182,23 @@ class FieldElement:
             return other.value
         return self.field.coerce(other)
 
+    def _new(self, raw) -> "FieldElement":
+        p = self.field.characteristic
+        return FieldElement._wrap(self.field, raw % p if p else raw)
+
     def __add__(self, other):
-        return FieldElement._wrap(self.field, self.field.add_raw(self.value, self._other_raw(other)))
+        return self._new(self.value + self._other_raw(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return FieldElement._wrap(self.field, self.field.sub_raw(self.value, self._other_raw(other)))
+        return self._new(self.value - self._other_raw(other))
 
     def __rsub__(self, other):
-        return FieldElement._wrap(self.field, self.field.sub_raw(self._other_raw(other), self.value))
+        return self._new(self._other_raw(other) - self.value)
 
     def __mul__(self, other):
-        return FieldElement._wrap(self.field, self.field.mul_raw(self.value, self._other_raw(other)))
+        return self._new(self.value * self._other_raw(other))
 
     __rmul__ = __mul__
 
@@ -216,15 +209,17 @@ class FieldElement:
         return FieldElement._wrap(self.field, self.field.div_raw(self._other_raw(other), self.value))
 
     def __neg__(self):
-        return FieldElement._wrap(self.field, self.field.neg_raw(self.value))
+        return self._new(-self.value)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             raise ValueError("exponent must be an integer")
-        return FieldElement._wrap(self.field, self.field.pow_raw(self.value, n))
+        if n < 0:
+            return self.inverse() ** -n
+        return self._new(pow(self.value, n, self.field.characteristic or None))
 
     def inverse(self) -> "FieldElement":
-        return FieldElement._wrap(self.field, self.field.inv_raw(self.value))
+        return FieldElement._wrap(self.field, self.field.div_raw(1, self.value))
 
     def is_zero(self) -> bool:
         return not self.value

@@ -13,6 +13,7 @@ they are integer-binomial combinations of the coefficients of h.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .arrangement import Multiarrangement
 
@@ -26,7 +27,8 @@ def _constraint_rows(arrangement: Multiarrangement, d: int):
     p = arrangement.field.characteristic
     rows = []
     for form, mult in arrangement.items():
-        ax, c = form.ax.value, form.ay.value
+        ax, ay = form.ax.value, form.ay.value
+        c = ay if ax <= 1 else Fraction(ay, ax)  # the slope: form = ax*(x + c*y)
         for k in range(min(mult, d + 1)):
             row = [0] * (2 * (d + 1))
             if not ax:

@@ -6,11 +6,15 @@ polynomial is representable at every degree (all entries zero); it keeps its
 degree tag for bookkeeping but compares equal to zero of any degree.
 
 Division by powers of a linear form is synthetic division against the
-normalized form, which has leading coefficient one and therefore needs no
-scalar divisions at all.
+normalized form.  Over F_p that form has leading coefficient one, so no scalar
+is divided at all; over Q it is a primitive integer pair, and by Gauss's lemma
+an integer polynomial it divides has an integer quotient, found by exact
+integer division by the leading coefficient.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .arrangement import LinearForm
 from .field import Field, FieldElement
@@ -239,18 +243,24 @@ class HomogPoly:
         if not a:
             # form is y: x^j y^(d-j) = y * (x^j y^(d-1-j)) for j < d
             return HomogPoly._raw(self.field, d - 1, cs[:d]), cs[d]
-        # a == 1 after normalization: peel (x + b*y) off from the top
+        # peel (a*x + b*y) off from the top; a == 1 over F_p
         q = [0] * d
-        q[d - 1] = cs[d]
+        t = cs[d]
         if p:
-            for j in range(d - 1, 0, -1):
-                q[j - 1] = (cs[j] - b * q[j]) % p
-            r = (cs[0] - b * q[0]) % p
+            for j in range(d - 1, -1, -1):
+                q[j] = t
+                t = (cs[j] - b * t) % p
+        elif a == 1:
+            for j in range(d - 1, -1, -1):
+                q[j] = t
+                t = cs[j] - b * t
         else:
-            for j in range(d - 1, 0, -1):
-                q[j - 1] = cs[j] - b * q[j]
-            r = cs[0] - b * q[0]
-        return HomogPoly._raw(self.field, d - 1, tuple(q)), r
+            # exact integer division when the form divides an integer
+            # polynomial (Gauss's lemma); anything else falls back to Fractions
+            for j in range(d - 1, -1, -1):
+                t = q[j] = t // a if not t % a else Fraction(t, a)
+                t = cs[j] - b * t
+        return HomogPoly._raw(self.field, d - 1, tuple(q)), t
 
     def div_linear_power(self, form: LinearForm, power: int) -> "HomogPoly":
         """Divide exactly by ``form ** power``.

@@ -42,12 +42,6 @@ from conftest import (
     sample_arrangements,
 )
 
-try:
-    from gmpy2 import mpq as _mpq_type
-except ImportError:  # pragma: no cover
-    _mpq_type = Fraction
-
-
 RESULTS: list[str] = []
 
 
@@ -229,7 +223,7 @@ def test_criterion_8_proposition_experiment():
 
 def test_criterion_9_exactness():
     """No floats anywhere: scalars are ints, exact rationals, or residues."""
-    exact_types = (int, Fraction, _mpq_type)
+    exact_types = (int, Fraction)
     bad = 0
     for arr in sample_arrangements(5150, 60):
         pair = build_basis(arr)

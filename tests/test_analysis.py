@@ -269,6 +269,12 @@ def test_experiment_rejects_bad_arguments():
         proposition_experiment(lo=20, hi=21, jobs=0)
 
 
+def test_experiment_jobs_match_serial_rows():
+    serial = proposition_experiment(lo=20, hi=21, jobs=1)
+    pooled = proposition_experiment(lo=20, hi=21, jobs=2)
+    assert pooled.rows == serial.rows
+
+
 def test_row_agrees_none_when_hypothesis_fails():
     row = ExperimentRow(
         mu=(9, 1, 1, 1),

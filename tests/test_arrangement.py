@@ -62,17 +62,6 @@ def test_total():
     assert Multiarrangement(RATIONALS, {xy: 1}).total == 1
 
 
-def test_submultiplicity():
-    x, y, _ = x_y_xy()
-    small = Multiarrangement(RATIONALS, {x: 1})
-    big = Multiarrangement(RATIONALS, {x: 2, y: 1})
-    assert small <= big
-    assert not (Multiarrangement(RATIONALS, {x: 2}) <= Multiarrangement(RATIONALS, {y: 5}))
-    assert big <= big
-    with pytest.raises(ValueError):
-        small <= Multiarrangement(Field(2), {LinearForm(Field(2), 1, 0): 1})
-
-
 def test_increment_decrement():
     x, y, _ = x_y_xy()
     arr = Multiarrangement(RATIONALS, {x: 1})

@@ -179,6 +179,26 @@ def test_build_output_is_verified_and_primitive():
                 assert all(isinstance(v, int) or v.denominator == 1 for v in values)
 
 
+def test_step_quotients_stay_integral_over_q():
+    # ramp integer lines, non-monic ones included, through _step with the
+    # cached quotients threaded along, as the chain does
+    forms = [LinearForm(RATIONALS, a, b) for a, b in [(0, 1), (3, -2), (1, 1), (2, 1)]]
+    theta1, theta2 = Derivation.partial_x(RATIONALS), Derivation.partial_y(RATIONALS)
+    branches = set()
+    for form in forms:
+        f_quot = g_quot = None
+        for mult in range(5):
+            theta1, theta2, branch, f_quot, g_quot = _step(
+                theta1, theta2, form, mult, f_quot, g_quot
+            )
+            branches.add(branch)
+            for quot in (f_quot, g_quot):
+                assert all(type(c) is int for c in quot.coeffs)
+            for theta in (theta1, theta2):
+                assert all(type(c) is int for c in theta.f.coeffs + theta.g.coeffs)
+    assert branches == set(Branch)
+
+
 def test_saito_determinant_is_defining_product():
     arr = Multiarrangement(RATIONALS, {X: 2, Y: 1, XY: 1})
     det = build_basis(arr).determinant()

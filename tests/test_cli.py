@@ -152,6 +152,51 @@ def test_trace_command(tmp_path, capsys):
     assert any("branch generic" in line for line in out)
 
 
+GOLDEN_ARRANGEMENT = "field Q\n2 1 3\n3 -2 2\n1/2 1/3 2\n0 1 3\n"
+
+GOLDEN_BASIS = """\
+theta1 (degree 5): (-20196*x^5 - 20430*x^4*y + 18225*x^3*y^2 + 26385*x^2*y^3 + 6940*x*y^4 - 380*y^5) dx + (12705*x^2*y^3 + 16450*x*y^4 + 5404*y^5) dy
+theta2 (degree 5): (-540*x^5 - 522*x^4*y + 459*x^3*y^2 + 660*x^2*y^3 + 164*x*y^4 - 16*y^5) dx + (273*x^2*y^3 + 392*x*y^4 + 140*y^5) dy
+exponents: {5, 5}
+"""
+
+GOLDEN_TRACE = """\
+step 1: form y, multiplicity 0 -> 1, branch f-vanishing, degrees (0, 0) -> (1, 0), diff 0 -> 1
+step 2: form y, multiplicity 1 -> 2, branch g-vanishing, degrees (1, 0) -> (2, 0), diff 1 -> 2
+step 3: form y, multiplicity 2 -> 3, branch g-vanishing, degrees (2, 0) -> (3, 0), diff 2 -> 3
+step 4: form x - 2/3*y, multiplicity 0 -> 1, branch generic, degrees (3, 0) -> (3, 1), diff 3 -> 2
+step 5: form x - 2/3*y, multiplicity 1 -> 2, branch generic, degrees (3, 1) -> (3, 2), diff 2 -> 1
+step 6: form x + 1/2*y, multiplicity 0 -> 1, branch generic, degrees (3, 2) -> (3, 3), diff 1 -> 0
+step 7: form x + 1/2*y, multiplicity 1 -> 2, branch generic, degrees (3, 3) -> (4, 3), diff 0 -> 1
+step 8: form x + 1/2*y, multiplicity 2 -> 3, branch generic, degrees (4, 3) -> (4, 4), diff 1 -> 0
+step 9: form x + 2/3*y, multiplicity 0 -> 1, branch generic, degrees (4, 4) -> (5, 4), diff 0 -> 1
+step 10: form x + 2/3*y, multiplicity 1 -> 2, branch generic, degrees (5, 4) -> (5, 5), diff 1 -> 0
+exponents: {5, 5}
+"""
+
+
+@pytest.mark.parametrize("command, expected", [("basis", GOLDEN_BASIS), ("trace", GOLDEN_TRACE)])
+def test_golden_output_non_monic_lines(tmp_path, capsys, command, expected):
+    # non-monic (2x + y, 3x - 2y) and rational-input (x/2 + y/3) lines over Q
+    path = write(tmp_path, GOLDEN_ARRANGEMENT)
+    assert main([command, path]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_render_writes_primitive_integer_pairs():
+    arr = parse_arrangement_text(GOLDEN_ARRANGEMENT)
+    text = render_arrangement(arr)
+    assert text == "field Q\n0 1 3\n3 -2 2\n2 1 3\n3 2 2\n"
+    assert parse_arrangement_text(text) == arr
+
+
+def test_oversized_field_exits_fast(tmp_path, capsys):
+    path = write(tmp_path, "field F 1000000000000000000000000000057\n1 0 1\n")
+    assert main(["exponents", path]) == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err and "too large" in err
+
+
 def test_file_errors(tmp_path, capsys):
     assert main(["basis", str(tmp_path / "missing.txt")]) == 2
     assert "error:" in capsys.readouterr().err

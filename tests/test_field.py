@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logvf import Field, FieldElement, FieldKind, RATIONALS
+from logvf.field import _is_prime
 
 
 def test_field_kinds():
@@ -18,6 +19,32 @@ def test_field_kinds():
 def test_non_prime_characteristic_rejected(bad):
     with pytest.raises(ValueError):
         Field(bad)
+
+
+def test_primality_agrees_with_sieve():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for n in range(2, int(limit**0.5) + 1):
+        if sieve[n]:
+            sieve[n * n :: n] = bytearray(len(range(n * n, limit, n)))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [(561, False), (3215031751, False), (2**31 - 1, True), (2**61 - 1, True), (2**61 + 1, False)],
+)
+def test_primality_hard_cases(n, prime):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+    assert _is_prime(n) is prime
+    if prime:
+        assert Field(n).characteristic == n
+
+
+def test_oversized_characteristic_rejected():
+    with pytest.raises(ValueError, match="too large"):
+        Field(10**30 + 57)
 
 
 def test_rational_addition():
