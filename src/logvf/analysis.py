@@ -10,13 +10,11 @@ classifying when a four-line arrangement has exponent difference two.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
-from .basis import BasisPair, Branch, _run_chain, exponents, verify_basis
+from .basis import BasisPair, Branch, _ramp, _run_chain, verify_basis
 from .derivation import Derivation
 from .field import Field
 from .poly import HomogPoly
@@ -236,60 +234,26 @@ def frobenius_basis(p: int, i: int, shifts=None) -> BasisPair:
 _EXPERIMENT_COEFFS = ((1, 1), (1, -1), (1, 0), (0, 1))  # x+y, x-y, x, y
 
 
-def _four_line_arrangement(mu: tuple[int, int, int, int]) -> Multiarrangement:
-    field = Field(0)
-    return Multiarrangement(
-        field,
-        {
-            LinearForm(field, a, b): m
-            for (a, b), m in zip(_EXPERIMENT_COEFFS, mu)
-        },
-    )
+def _odd_pair_with_gap(a: int, b: int, offset: int) -> bool:
+    """Whether b = 2k+1 for some k >= 0 and a = b + offset + 4h for some integer h."""
+    return b >= 1 and b % 2 == 1 and (a - b - offset) % 4 == 0
 
 
-def _tuple_exponents(mu: tuple[int, int, int, int]) -> tuple[int, int]:
-    return exponents(_four_line_arrangement(mu))
-
-
-@lru_cache(maxsize=None)
-def _odd_pair_with_gap(a: int, b: int, offset: int, span: int) -> bool:
-    """Whether b = 2k+1 and a = 2k+1 + offset + 4h for integers k >= 0, |h| <= span.
-
-    The shift h is allowed to be negative, so for even ``offset`` the relation
-    is symmetric in a and b modulo 4.
-    """
-    for k in range(b // 2 + 1):
-        if 2 * k + 1 != b:
-            continue
-        for h in range(-span, span + 1):
-            if a == 2 * k + 1 + offset + 4 * h:
-                return True
-    return False
-
-
-def predicted_difference_two(mu: tuple[int, int, int, int], span: int = 16) -> bool:
+def predicted_difference_two(mu: tuple[int, int, int, int]) -> bool:
     """The parity classification of exponent difference 2 for four lines.
 
     For multiplicities (m1, m2, m3, m4) on x+y, x-y, x, y with no dominant
     hyperplane, the exponent difference is 2 exactly when one of the pairs
     {m1, m2} or {m3, m4} is two odd numbers differing by 2 mod 4 while the
     other pair is twice-equal even, or two odd numbers differing by 0 mod 4
-    while the other pair is twice-equal odd.  ``span`` bounds the integer
-    search for the mod-4 shift.
+    while the other pair is twice-equal odd.
     """
     m1, m2, m3, m4 = mu
-
-    def odd_gap2(a, b):
-        return _odd_pair_with_gap(a, b, 2, span)
-
-    def odd_gap0(a, b):
-        return _odd_pair_with_gap(a, b, 0, span)
-
     return (
-        (odd_gap2(m1, m2) and m3 == m4 and m3 % 2 == 0)
-        or (odd_gap2(m3, m4) and m1 == m2 and m1 % 2 == 0)
-        or (odd_gap0(m1, m2) and m3 == m4 and m3 % 2 == 1)
-        or (odd_gap0(m3, m4) and m1 == m2 and m1 % 2 == 1)
+        (_odd_pair_with_gap(m1, m2, 2) and m3 == m4 and m3 % 2 == 0)
+        or (_odd_pair_with_gap(m3, m4, 2) and m1 == m2 and m1 % 2 == 0)
+        or (_odd_pair_with_gap(m1, m2, 0) and m3 == m4 and m3 % 2 == 1)
+        or (_odd_pair_with_gap(m3, m4, 0) and m1 == m2 and m1 % 2 == 1)
     )
 
 
@@ -353,7 +317,7 @@ class PropositionReport:
                 )
 
 
-def proposition_experiment(lo: int = 20, hi: int = 30, jobs: int = 1) -> PropositionReport:
+def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
     """Exponent differences of all four-line arrangements with mu in [lo, hi]^4.
 
     Each multiplicity tuple for the lines x+y, x-y, x, y is run through the
@@ -361,20 +325,32 @@ def proposition_experiment(lo: int = 20, hi: int = 30, jobs: int = 1) -> Proposi
     classification.  Tuples where some hyperplane carries at least half the
     total weight fall outside the classification's hypothesis and are reported
     with ``agrees`` empty.
+
+    Tuples that agree on a prefix of the canonical line order share those
+    steps of the chain, so the lines are ramped depth-first: each one from 0
+    to ``hi``, descending to the next line at every multiplicity >= ``lo``.
+    Every leaf makes exactly the steps :func:`build_basis` makes for its tuple.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
-    tuples = list(product(range(lo, hi + 1), repeat=4))
-    if jobs == 1:
-        results = map(_tuple_exponents, tuples)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_tuple_exponents, tuples, chunksize=64))
-    span = max(4, hi - lo)
+    field = Field(0)
+    forms = [LinearForm(field, a, b) for a, b in _EXPERIMENT_COEFFS]
+    order = sorted(range(len(forms)), key=lambda i: forms[i].sort_key())
+    degrees = {}
+
+    def walk(theta1, theta2, prefix):
+        if len(prefix) == len(order):
+            degrees[prefix] = BasisPair(theta1, theta2).degrees()
+            return
+        ramp = _ramp(theta1, theta2, forms[order[len(prefix)]], hi)
+        for mult, (new1, new2, _) in enumerate(ramp, start=1):
+            if mult >= lo:
+                walk(new1, new2, prefix + (mult,))
+
+    walk(Derivation.partial_x(field), Derivation.partial_y(field), ())
     rows = []
-    for mu, (d1, d2) in zip(tuples, results):
+    for mu in product(range(lo, hi + 1), repeat=4):
+        d1, d2 = degrees[tuple(mu[i] for i in order)]
         total = sum(mu)
         rows.append(
             ExperimentRow(
@@ -383,7 +359,7 @@ def proposition_experiment(lo: int = 20, hi: int = 30, jobs: int = 1) -> Proposi
                 d1=d1,
                 d2=d2,
                 difference=d1 - d2,
-                predicted_two=predicted_difference_two(mu, span),
+                predicted_two=predicted_difference_two(mu),
                 hypothesis_ok=all(2 * m < total for m in mu),
             )
         )

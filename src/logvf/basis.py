@@ -173,6 +173,22 @@ def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
     return BasisPair(theta1, theta2)
 
 
+def _ramp(theta1, theta2, form, upto):
+    """Raise the multiplicity of ``ker(form)`` from 0 to ``upto``, one step at a time.
+
+    (theta1, theta2) must be a basis of an arrangement without ``form``.
+    Yields ``(theta1', theta2', branch)`` after each step, the k-th pair
+    being a basis once the multiplicity is k; the cached quotients of
+    :func:`_step` are carried from one step to the next.
+    """
+    f_quot = g_quot = None
+    for mult in range(upto):
+        theta1, theta2, branch, f_quot, g_quot = _step(
+            theta1, theta2, form, mult, f_quot, g_quot
+        )
+        yield theta1, theta2, branch
+
+
 def _run_chain(arrangement: Multiarrangement, observer=None):
     """Fold :func:`_step` from (d/dx, d/dy) up to the full arrangement.
 
@@ -185,14 +201,12 @@ def _run_chain(arrangement: Multiarrangement, observer=None):
     theta1 = Derivation.partial_x(field)
     theta2 = Derivation.partial_y(field)
     for form in arrangement.forms():
-        f_quot = g_quot = None
-        for mult in range(arrangement.multiplicity(form)):
-            before = (theta1.degree, theta2.degree)
-            theta1, theta2, branch, f_quot, g_quot = _step(
-                theta1, theta2, form, mult, f_quot, g_quot
-            )
+        ramp = _ramp(theta1, theta2, form, arrangement.multiplicity(form))
+        for mult, (new1, new2, branch) in enumerate(ramp):
             if observer is not None:
-                observer(form, mult, branch, before, (theta1.degree, theta2.degree))
+                before = (theta1.degree, theta2.degree)
+                observer(form, mult, branch, before, (new1.degree, new2.degree))
+            theta1, theta2 = new1, new2
     return BasisPair(theta1, theta2)
 
 

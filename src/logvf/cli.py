@@ -17,6 +17,7 @@ from .analysis import (
     frobenius_basis,
     proposition_experiment,
     trace_chain,
+    unbalanced_exponents,
 )
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
 from .basis import BasisPair, build_basis, verify_basis
@@ -127,8 +128,11 @@ def cmd_basis(args) -> int:
 
 def cmd_exponents(args) -> int:
     arrangement = _load(args.arrangement)
-    pair = build_basis(arrangement)
-    print(_exponent_line(pair.degrees()))
+    # a dominant line has closed-form exponents; its chain is quadratic in |mu|
+    degrees = unbalanced_exponents(arrangement)
+    if degrees is None:
+        degrees = build_basis(arrangement).degrees()
+    print(_exponent_line(degrees))
     return 0
 
 
@@ -202,7 +206,7 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_prop_experiment(args) -> int:
-    report = proposition_experiment(lo=args.lo, hi=args.hi, jobs=args.jobs)
+    report = proposition_experiment(lo=args.lo, hi=args.hi)
     print(report.summary())
     if args.out:
         report.write_csv(args.out)
@@ -252,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "prop-experiment", help="four-line exponent-difference classification sweep"
     )
     p_prop.add_argument("--out", help="write per-tuple CSV report here")
-    p_prop.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_prop.add_argument("--lo", type=int, default=20, help="smallest multiplicity (default 20)")
     p_prop.add_argument("--hi", type=int, default=30, help="largest multiplicity (default 30)")
     p_prop.set_defaults(func=cmd_prop_experiment)

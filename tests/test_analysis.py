@@ -26,7 +26,7 @@ from logvf import (
     unbalanced_exponents,
     verify_basis,
 )
-from logvf.analysis import ExperimentRow, _tuple_exponents
+from logvf.analysis import ExperimentRow
 
 from conftest import sample_arrangements
 
@@ -234,9 +234,45 @@ def test_parity_classification_symmetries():
         assert predicted_difference_two((m3, m4, m1, m2)) == value
 
 
+def four_lines(mu):
+    """The sweep's arrangement: multiplicities mu on x+y, x-y, x, y."""
+    coeffs = ((1, 1), (1, -1), (1, 0), (0, 1))
+    return Multiarrangement(
+        RATIONALS, {LinearForm(RATIONALS, a, b): m for (a, b), m in zip(coeffs, mu)}
+    )
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        (103, 1, 60, 60),
+        (1, 103, 60, 60),
+        (60, 60, 103, 1),
+        (71, 1, 36, 36),
+        (69, 1, 35, 35),
+        (101, 1, 60, 60),
+        (99, 1, 61, 61),
+    ],
+)
+def test_parity_classification_on_wide_tuples(mu):
+    arr = four_lines(mu)
+    assert all(2 * m < arr.total for m in mu)
+    d1, d2 = exponents(arr)
+    assert predicted_difference_two(mu) == (d1 - d2 == 2)
+
+
 def test_tuple_exponents_spot_checks():
-    assert _tuple_exponents((23, 21, 20, 20)) == (43, 41)
-    assert _tuple_exponents((20, 20, 20, 20)) == (40, 40)
+    rows = {r.mu: (r.d1, r.d2) for r in proposition_experiment(lo=20, hi=23).rows}
+    assert rows[(23, 21, 20, 20)] == (43, 41)
+    assert rows[(20, 20, 20, 20)] == (40, 40)
+
+
+def test_experiment_rows_match_per_tuple_construction():
+    report = proposition_experiment(lo=1, hi=5)
+    assert report.tuple_count == 5**4
+    assert not all(r.hypothesis_ok for r in report.rows)
+    for r in report.rows:
+        assert (r.d1, r.d2) == build_basis(four_lines(r.mu)).degrees(), r.mu
 
 
 def test_small_subrange_experiment():
@@ -265,14 +301,6 @@ def test_experiment_rejects_bad_arguments():
         proposition_experiment(lo=0, hi=3)
     with pytest.raises(ValueError):
         proposition_experiment(lo=5, hi=4)
-    with pytest.raises(ValueError):
-        proposition_experiment(lo=20, hi=21, jobs=0)
-
-
-def test_experiment_jobs_match_serial_rows():
-    serial = proposition_experiment(lo=20, hi=21, jobs=1)
-    pooled = proposition_experiment(lo=20, hi=21, jobs=2)
-    assert pooled.rows == serial.rows
 
 
 def test_row_agrees_none_when_hypothesis_fails():

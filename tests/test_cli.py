@@ -90,6 +90,16 @@ def test_exponents_command(tmp_path, capsys):
     assert capsys.readouterr().out == "exponents: {5, 2}\n"
 
 
+def test_exponents_command_dominant_line_uses_closed_form(tmp_path, capsys, monkeypatch):
+    def no_chain(arrangement):
+        raise AssertionError("the chain is quadratic in |mu| for a dominant line")
+
+    monkeypatch.setattr("logvf.cli.build_basis", no_chain)
+    path = write(tmp_path, "field Q\n1 0 200000\n0 1 1\n")
+    assert main(["exponents", path]) == 0
+    assert capsys.readouterr().out == "exponents: {200000, 1}\n"
+
+
 def test_basis_command_empty_arrangement(tmp_path, capsys):
     path = write(tmp_path, "field Q\n")
     assert main(["basis", path]) == 0
