@@ -10,6 +10,7 @@ Correctness of a claimed pair is decided by Saito's criterion.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate, chain, islice, repeat
 from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
@@ -126,7 +127,11 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
 
     # generic case: clear the obstruction with den*theta1 + q*theta2, where
     # q = num*y^d + den*(x^d + x^(d-1)*y + ... + x*y^(d-1)), or num*x^d when
-    # the form is y, and num/den makes (den*f + q*g)(point) = 0
+    # the form is y, and num/den makes (den*f + q*g)(point) = 0.  q is never
+    # built: the x^k coefficient of den*B + q*h is den*(B_k + W_k) + num*h_k
+    # with the window sum W_k = h_(k-d) + ... + h_(k-1) (den*B_k + num*h_(k-d)
+    # for num*x^d), which _plus_q_times reads off prefix sums in O(deg) where
+    # a dense product costs O(deg*d)
     field = theta1.field
     p = field.characteristic
     d = theta1.degree - theta2.degree
@@ -144,14 +149,47 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
     else:
         c = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // c, den // c
-    q = HomogPoly._raw(field, d, (num,) + (den,) * d if py else (0,) * d + (num,))
-    new1, factor = theta1.scale(den).plus_scaled(q, theta2).primitive()
-    f_quot = (f_quot.scale(den) + q * g_quot).div_linear_power(form, 1)
+    new1, factor = Derivation(
+        _plus_q_times(theta1.f, theta2.f, num, den, py),
+        _plus_q_times(theta1.g, theta2.g, num, den, py),
+    ).primitive()
+    f_quot = _plus_q_times(f_quot, g_quot, num, den, py).div_linear_power(form, 1)
     if factor != 1:
         # primitive() divided new1 by an integer content; f' follows exactly
         n, m = factor.numerator, factor.denominator
         f_quot = HomogPoly._raw(field, f_quot.degree, tuple(c * n // m for c in f_quot.coeffs))
     return new1, theta2.times_linear(form), Branch.GENERIC, f_quot, g_quot
+
+
+def _plus_q_times(big, small, num, den, py):
+    """``den*big + q*small`` for the q of :func:`_step`'s generic branch.
+
+    q has degree d = big.degree - small.degree and is ``num*x^d`` when ``py``
+    is 0 (the form is y), else ``num*y^d + den*(x^d + ... + x*y^(d-1))``.
+    Over F_p, den must be 1.
+    """
+    B, h = big.coeffs, small.coeffs
+    d = len(B) - len(h)
+    p = big.field.characteristic
+    if not py:
+        # q*h is num*h moved up by d powers of x
+        pairs = zip(B, chain(repeat(0, d), h))
+        if p:
+            out = [(b + num * c) % p for b, c in pairs]
+        else:
+            out = [den * b + num * c for b, c in pairs]
+    else:
+        # W_k = s[min(k, n)] - s[max(k - d, 0)] over the prefix sums s of h
+        s = list(accumulate(h, initial=0))
+        n = len(h)
+        hi = chain(s, repeat(s[n], d - 1))
+        lo = chain(repeat(0, d), islice(s, n))
+        quads = zip(B, hi, lo, chain(h, repeat(0, d)))
+        if p:
+            out = [(b + u - v + num * c) % p for b, u, v, c in quads]
+        else:
+            out = [den * (b + u - v) + num * c for b, u, v, c in quads]
+    return HomogPoly._raw(big.field, big.degree, tuple(out))
 
 
 def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:

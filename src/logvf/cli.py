@@ -26,6 +26,11 @@ from .field import Field
 from .oracle import dimension_table, exponents_by_oracle
 
 ORACLE_TOTAL_LIMIT = 16
+# ``basis`` and ``trace`` run the chain, quadratic in |mu| and slower still
+# over Q as coefficients grow.  On one core (Python 3.11) ``basis`` takes
+# 5.5 s at |mu| = 500 on the lines y, x, x + y, x - y, 2x + y (15 s at 600);
+# lines of larger height take longer at the same |mu|.
+CHAIN_TOTAL_LIMIT = 500
 
 
 class ParseError(ValueError):
@@ -103,6 +108,11 @@ def _load(path: str) -> Multiarrangement:
     return parse_arrangement_text(text)
 
 
+def _check_total(arrangement: Multiarrangement, limit: int, command: str) -> None:
+    if arrangement.total > limit:
+        raise ParseError(None, f"{command} is limited to |mu| <= {limit}, got {arrangement.total}")
+
+
 def _print_pair(pair: BasisPair) -> None:
     d1, d2 = pair.degrees()
     print(f"theta1 (degree {d1}): {pair.theta1}")
@@ -120,6 +130,7 @@ def _exponent_line(degrees) -> str:
 
 def cmd_basis(args) -> int:
     arrangement = _load(args.arrangement)
+    _check_total(arrangement, CHAIN_TOTAL_LIMIT, "basis")
     pair = build_basis(arrangement)
     _print_pair(pair)
     print(_exponent_line(pair.degrees()))
@@ -157,11 +168,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     arrangement = _load(args.arrangement)
-    if arrangement.total > ORACLE_TOTAL_LIMIT:
-        raise ParseError(
-            None,
-            f"oracle is limited to |mu| <= {ORACLE_TOTAL_LIMIT}, got {arrangement.total}",
-        )
+    _check_total(arrangement, ORACLE_TOTAL_LIMIT, "oracle")
     table = dimension_table(arrangement)
     for d, dim in enumerate(table):
         print(f"d = {d}: dim {dim}")
@@ -171,6 +178,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_trace(args) -> int:
     arrangement = _load(args.arrangement)
+    _check_total(arrangement, CHAIN_TOTAL_LIMIT, "trace")
     pair, traces = trace_chain(arrangement)
     for t in traces:
         print(t)

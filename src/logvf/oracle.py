@@ -130,28 +130,42 @@ def dimension_table(arrangement: Multiarrangement) -> list[int]:
 def exponents_by_oracle(arrangement: Multiarrangement) -> tuple[int, int]:
     """Exponents read off the graded dimensions alone, largest first.
 
-    The smaller exponent is the first degree with a nonzero piece; the larger
-    is the first degree whose dimension exceeds what multiples of the first
-    generator alone can provide.  A mismatch with |mu| would contradict
-    freeness and raises RuntimeError.
+    The smaller exponent e1 is the first degree with a nonzero piece; the
+    larger e2 is the first degree whose dimension exceeds the d - e1 + 1 that
+    multiples of the first generator alone can provide.  Both predicates are
+    monotone in d, so O(log |mu|) ranks suffice:
+
+    - ``dim D_d`` is nondecreasing, because multiplying by x is injective
+      from D_d into D_(d+1);
+    - ``dim D_(d+1) >= dim D_d + 1`` once V = D_d is nonzero: xV + yV lies
+      in D_(d+1), and xV meets yV in less than all of xV, because x*theta is
+      not in yV when theta in V has the least power of y dividing it.
+      So ``dim D_d - (d - e1 + 1)`` is nondecreasing for d >= e1.
+
+    e1 is bisected over [0, |mu| // 2], where freeness puts it, and
+    e2 = |mu| - e1 is confirmed by the second predicate holding at e2 and,
+    when e2 > e1, failing at e2 - 1.  Any other outcome would contradict
+    freeness and raises RuntimeError, as a degree-by-degree scan would.
     """
     total = arrangement.total
-    e1 = None
-    for d in range(total + 1):
-        if dim_degree(arrangement, d) > 0:
-            e1 = d
-            break
-    if e1 is None:
-        raise RuntimeError("no nonzero graded piece up to |mu|; this should be impossible")
-    e2 = None
-    for d in range(e1, total + 1):
-        if dim_degree(arrangement, d) > d - e1 + 1:
-            e2 = d
-            break
-    if e2 is None:
-        raise RuntimeError("second exponent not found up to |mu|; this should be impossible")
-    if e1 + e2 != total:
+    lo, hi = 0, total // 2 + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if dim_degree(arrangement, mid) > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo > total // 2:
         raise RuntimeError(
-            f"oracle exponents {e1} + {e2} != |mu| = {total}; freeness violated"
+            f"no nonzero graded piece up to |mu|/2 = {total // 2}; freeness violated"
+        )
+    e1, e2 = lo, total - lo
+
+    def second(d):
+        return dim_degree(arrangement, d) > d - e1 + 1
+
+    if not second(e2) or (e2 > e1 and second(e2 - 1)):
+        raise RuntimeError(
+            f"second exponent is not |mu| - {e1} = {e2}; freeness violated"
         )
     return (e2, e1)

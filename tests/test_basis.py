@@ -1,8 +1,10 @@
 """The update step, the full chain construction, and Saito verification."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logvf import (
     BasisPair,
@@ -20,7 +22,7 @@ from logvf import (
     update_basis,
     verify_basis,
 )
-from logvf.basis import _step
+from logvf.basis import _plus_q_times, _step
 
 from conftest import sample_arrangements
 
@@ -223,3 +225,73 @@ def test_prime_field_chain():
     pair = build_basis(arr)
     assert verify_basis(pair, arr)
     assert sum(pair.degrees()) == 8
+
+
+FIELDS_FOR_KERNEL = [RATIONALS, Field(7), Field(2**31 - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    field=st.sampled_from(FIELDS_FOR_KERNEL),
+    d=st.integers(0, 12),
+    small=st.lists(st.integers(-50, 50), min_size=1, max_size=9),
+    big_seed=st.lists(st.integers(-50, 50), min_size=21, max_size=21),
+    num=st.integers(-10**6, 10**6),
+    den=st.integers(1, 10**6),
+    py=st.sampled_from([0, 1, 3]),
+)
+def test_window_sum_combination_matches_dense_product(field, d, small, big_seed, num, den, py):
+    # den*big + q*small with q built densely and multiplied by HomogPoly.__mul__
+    p = field.characteristic
+    if p:
+        num, den = num % p, 1
+    small = HomogPoly(field, small)
+    big = HomogPoly(field, big_seed[: small.degree + d + 1])
+    q_coeffs = (num,) + (den,) * d if py else (0,) * d + (num,)
+    reference = big.scale(den) + HomogPoly._raw(field, d, q_coeffs) * small
+    out = _plus_q_times(big, small, num, den, py)
+    assert out.degree == big.degree
+    assert out.coeffs == reference.coeffs
+
+
+def _generic_reference(theta1, theta2, form, mult):
+    """den*theta1 + q*theta2 of a generic step, num/den solved for from point values."""
+    field = theta1.field
+    p = field.characteristic
+    px, py = form.point_raw()
+    f_val = theta1.apply(form).div_linear_power(form, mult).eval_raw(px, py)
+    g_val = theta2.apply(form).div_linear_power(form, mult).eval_raw(px, py)
+    d = theta1.degree - theta2.degree
+    # (den*f + q*g)(point) = 0 with q(point) = num*py^d + den*tail, or num*px^d
+    tail = sum(px**j * py ** (d - j) for j in range(1, d + 1)) if py else 0
+    top, bottom = -(f_val + tail * g_val), g_val * (py**d if py else px**d)
+    if p:
+        num, den = top * pow(bottom, -1, p) % p, 1
+    else:
+        ratio = Fraction(top, bottom)
+        num, den = ratio.numerator, ratio.denominator
+    q_coeffs = (num,) + (den,) * d if py else (0,) * d + (num,)
+    q = HomogPoly._raw(field, d, q_coeffs)
+    return theta1.scale(den).plus_scaled(q, theta2).primitive()[0]
+
+
+def test_generic_step_equals_dense_combination():
+    cases = [
+        (RATIONALS, [(0, 1, 4), (3, -2, 3), (1, 1, 5), (2, 1, 4), (1, -3, 3)]),
+        (Field(7), [(0, 1, 5), (1, 0, 2), (1, 3, 4), (1, 5, 3), (1, 6, 2)]),
+        (Field(2**31 - 1), [(0, 1, 6), (1, 0, 3), (1, 1, 4), (1, 2**31 - 2, 3)]),
+    ]
+    generic = 0
+    for field, lines in cases:
+        theta1, theta2 = Derivation.partial_x(field), Derivation.partial_y(field)
+        for ax, ay, mult in lines:
+            form = LinearForm(field, ax, ay)
+            for m in range(mult):
+                if theta1.degree < theta2.degree:
+                    theta1, theta2 = theta2, theta1
+                new1, new2, branch, _, _ = _step(theta1, theta2, form, m)
+                if branch is Branch.GENERIC:
+                    generic += 1
+                    assert new1 == _generic_reference(theta1, theta2, form, m)
+                theta1, theta2 = new1, new2
+    assert generic >= 20

@@ -3,7 +3,7 @@
 import pytest
 
 from logvf import Field, LinearForm, Multiarrangement, RATIONALS
-from logvf.cli import ParseError, main, parse_arrangement_text, render_arrangement
+from logvf.cli import CHAIN_TOTAL_LIMIT, ParseError, main, parse_arrangement_text, render_arrangement
 
 from conftest import sample_arrangements
 
@@ -151,6 +151,29 @@ def test_oracle_command_size_limit(tmp_path, capsys):
     assert main(["oracle", path]) == 2
     assert "16" in capsys.readouterr().err
 
+
+
+@pytest.mark.parametrize("command", ["basis", "trace"])
+def test_chain_commands_size_limit(tmp_path, capsys, monkeypatch, command):
+    def no_chain(arrangement):
+        raise AssertionError("the chain must not start above the size limit")
+
+    monkeypatch.setattr("logvf.cli.build_basis", no_chain)
+    monkeypatch.setattr("logvf.cli.trace_chain", no_chain)
+    path = write(tmp_path, "field Q\n1 0 200000\n0 1 1\n")
+    assert main([command, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command} is limited to |mu| <= {CHAIN_TOTAL_LIMIT}, got 200001\n"
+
+
+@pytest.mark.parametrize("command", ["basis", "trace"])
+def test_chain_commands_accept_the_size_limit_itself(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr("logvf.cli.CHAIN_TOTAL_LIMIT", 3)
+    assert main([command, write(tmp_path, "field Q\n1 0 2\n0 1 1\n")]) == 0
+    assert capsys.readouterr().out.endswith("exponents: {2, 1}\n")
+    assert main([command, write(tmp_path, "field Q\n1 0 3\n0 1 1\n")]) == 2
+    assert "|mu| <= 3, got 4" in capsys.readouterr().err
 
 def test_trace_command(tmp_path, capsys):
     path = write(tmp_path, "field Q\n1 0 1\n0 1 1\n1 1 1\n")

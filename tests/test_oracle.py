@@ -1,5 +1,8 @@
 """The linear-algebra route to graded dimensions and exponents."""
 
+import math
+import random
+
 import pytest
 
 from logvf import (
@@ -13,8 +16,9 @@ from logvf import (
     exponents,
     exponents_by_oracle,
 )
+from logvf import oracle
 
-from conftest import sample_arrangements
+from conftest import random_arrangement, sample_arrangements
 
 X = LinearForm(RATIONALS, 1, 0)
 Y = LinearForm(RATIONALS, 0, 1)
@@ -71,3 +75,73 @@ def test_dim_bounded_by_free_rank():
     arr = Multiarrangement(RATIONALS, {X: 3, XY: 2})
     for d in range(arr.total + 1):
         assert 0 <= dim_degree(arr, d) <= 2 * (d + 1)
+
+
+def linear_scan_exponents(arrangement):
+    """The degree-by-degree reading of the exponents off the full dimension table."""
+    table = dimension_table(arrangement)
+    e1 = next(d for d, dim in enumerate(table) if dim > 0)
+    e2 = next(d for d in range(e1, len(table)) if table[d] > d - e1 + 1)
+    assert e1 + e2 == arrangement.total
+    return (e2, e1)
+
+
+ORACLE_FIELDS = [RATIONALS, Field(7), Field(101)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_bisected_oracle_matches_linear_scan(field):
+    rng = random.Random(field.characteristic + 2)
+    for _ in range(12):
+        arr = random_arrangement(rng, field=field, max_forms=6, max_total=24)
+        assert exponents_by_oracle(arr) == linear_scan_exponents(arr)
+
+
+@pytest.mark.parametrize("e1, e2, total", [(3, 5, 9), (3, 5, 7), (4, 4, 9), (6, 6, 10), (2, 9, 13)])
+def test_oracle_rejects_tables_that_contradict_freeness(monkeypatch, e1, e2, total):
+    # a free-shaped table whose exponents do not add up to |mu|
+    arr = Multiarrangement(RATIONALS, {X: total})
+    monkeypatch.setattr(oracle, "dim_degree", lambda _arr, d: hilbert_dims(e1, e2, d))
+    with pytest.raises(RuntimeError):
+        exponents_by_oracle(arr)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_oracle_ranks_logarithmically_many_degrees(monkeypatch, field):
+    rng = random.Random(7 * field.characteristic + 1)
+    real = oracle.dim_degree
+    calls = []
+
+    def counting(arr, d):
+        calls.append(d)
+        return real(arr, d)
+
+    monkeypatch.setattr(oracle, "dim_degree", counting)
+    for _ in range(10):
+        arr = random_arrangement(rng, field=field, max_forms=6, max_total=24)
+        calls.clear()
+        exponents_by_oracle(arr)
+        assert len(calls) <= math.ceil(math.log2(arr.total // 2 + 2)) + 2
+
+
+@pytest.mark.parametrize(
+    "field, lines",
+    [
+        (Field(101), [((0, 1), 15), ((1, 0), 14), ((1, 1), 13), ((1, 7), 10), ((1, 50), 8)]),
+        (Field(101), [((0, 1), 32), ((1, 0), 10), ((1, 2), 9), ((1, 3), 8)]),
+        (Field(101), [((0, 1), 12), ((1, 0), 12), ((1, 1), 12), ((1, 100), 12), ((1, 5), 12)]),
+        (RATIONALS, [((0, 1), 10), ((1, 0), 9), ((1, 1), 8), ((1, -1), 7), ((2, 1), 6)]),
+        (RATIONALS, [((0, 1), 21), ((1, 0), 8), ((3, -2), 6), ((1, 2), 5)]),
+    ],
+)
+def test_chain_agrees_with_oracle_at_larger_sizes(field, lines):
+    arr = Multiarrangement(field, {LinearForm(field, a, b): m for (a, b), m in lines})
+    assert exponents_by_oracle(arr) == exponents(arr)
+
+
+@pytest.mark.parametrize("field, max_total", [(Field(101), 60), (RATIONALS, 40)], ids=str)
+def test_chain_agrees_with_oracle_on_seeded_larger_arrangements(field, max_total):
+    rng = random.Random(max_total)
+    for _ in range(8):
+        arr = random_arrangement(rng, field=field, max_forms=7, max_total=max_total, min_forms=3)
+        assert exponents_by_oracle(arr) == exponents(arr)
