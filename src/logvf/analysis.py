@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
-from .basis import BasisPair, Branch, _ramp, _run_chain, verify_basis
+from .basis import BasisPair, Branch, _ramp, _ramp_degrees, _run_chain, verify_basis
 from .derivation import Derivation
 from .field import Field
 from .poly import HomogPoly
@@ -329,7 +329,9 @@ def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
     Tuples that agree on a prefix of the canonical line order share those
     steps of the chain, so the lines are ramped depth-first: each one from 0
     to ``hi``, descending to the next line at every multiplicity >= ``lo``.
-    Every leaf makes exactly the steps :func:`build_basis` makes for its tuple.
+    The first three lines make exactly the steps :func:`build_basis` makes;
+    a row needs only the degrees, so the last line is ramped by
+    :func:`basis._ramp_degrees`, which builds no derivation.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
@@ -339,11 +341,13 @@ def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
     degrees = {}
 
     def walk(theta1, theta2, prefix):
-        if len(prefix) == len(order):
-            degrees[prefix] = BasisPair(theta1, theta2).degrees()
+        form = forms[order[len(prefix)]]
+        if len(prefix) == len(order) - 1:
+            for mult, pair in enumerate(_ramp_degrees(theta1, theta2, form, hi), start=1):
+                if mult >= lo:
+                    degrees[prefix + (mult,)] = tuple(sorted(pair, reverse=True))
             return
-        ramp = _ramp(theta1, theta2, forms[order[len(prefix)]], hi)
-        for mult, (new1, new2, _) in enumerate(ramp, start=1):
+        for mult, (new1, new2, _) in enumerate(_ramp(theta1, theta2, form, hi), start=1):
             if mult >= lo:
                 walk(new1, new2, prefix + (mult,))
 

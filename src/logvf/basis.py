@@ -108,22 +108,46 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
         f_quot, g_quot = g_quot, f_quot
     if g_quot is None:
         g_quot = theta2.apply(form).div_linear_power(form, mult)
+    if f_quot is None:
+        f_quot = theta1.apply(form).div_linear_power(form, mult)
+    branch, f_quot, g_quot, num, den = _advance(f_quot, g_quot, form, theta1.degree - theta2.degree)
+    if branch is Branch.G_VANISHING:
+        return theta1.times_linear(form), theta2, branch, f_quot, g_quot
+    if branch is Branch.F_VANISHING:
+        return theta1, theta2.times_linear(form), branch, f_quot, g_quot
+    py = form.point_raw()[1]
+    new1, factor = Derivation(
+        _plus_q_times(theta1.f, theta2.f, num, den, py),
+        _plus_q_times(theta1.g, theta2.g, num, den, py),
+    ).primitive()
+    if factor != 1:
+        # primitive() divided new1 by an integer content; f' follows exactly
+        n, m = factor.numerator, factor.denominator
+        f_quot = HomogPoly._raw(f_quot.field, f_quot.degree, tuple(c * n // m for c in f_quot.coeffs))
+    return new1, theta2.times_linear(form), branch, f_quot, g_quot
+
+
+def _advance(f_quot, g_quot, form, d):
+    """:func:`_step` on the quotients alone: ``(branch, f', g', num, den)``.
+
+    The quotients belong to a pair whose degrees differ by ``d`` >= 0,
+    larger first.  A generic f' is (den*f + q*g) / form, not yet reduced;
+    num and den, which fix q, are None in the other branches.
+    """
     px, py = form.point_raw()
     g_val = g_quot.eval_raw(px, py)
 
     if not g_val:
         # form^(mult+1) already divides theta2(form): multiply theta1 instead
         g_quot = g_quot.div_linear_power(form, 1)
-        return theta1.times_linear(form), theta2, Branch.G_VANISHING, f_quot, g_quot
+        return Branch.G_VANISHING, f_quot, g_quot, None, None
 
-    if f_quot is None:
-        f_quot = theta1.apply(form).div_linear_power(form, mult)
     f_val = f_quot.eval_raw(px, py)
 
     if not f_val:
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
         f_quot = f_quot.div_linear_power(form, 1)
-        return theta1, theta2.times_linear(form), Branch.F_VANISHING, f_quot, g_quot
+        return Branch.F_VANISHING, f_quot, g_quot, None, None
 
     # generic case: clear the obstruction with den*theta1 + q*theta2, where
     # q = num*y^d + den*(x^d + x^(d-1)*y + ... + x*y^(d-1)), or num*x^d when
@@ -132,9 +156,7 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
     # with the window sum W_k = h_(k-d) + ... + h_(k-1) (den*B_k + num*h_(k-d)
     # for num*x^d), which _plus_q_times reads off prefix sums in O(deg) where
     # a dense product costs O(deg*d)
-    field = theta1.field
-    p = field.characteristic
-    d = theta1.degree - theta2.degree
+    p = form.field.characteristic
     if py:
         tail, power = 0, 1
         for _ in range(d):
@@ -149,20 +171,12 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
     else:
         c = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // c, den // c
-    new1, factor = Derivation(
-        _plus_q_times(theta1.f, theta2.f, num, den, py),
-        _plus_q_times(theta1.g, theta2.g, num, den, py),
-    ).primitive()
     f_quot = _plus_q_times(f_quot, g_quot, num, den, py).div_linear_power(form, 1)
-    if factor != 1:
-        # primitive() divided new1 by an integer content; f' follows exactly
-        n, m = factor.numerator, factor.denominator
-        f_quot = HomogPoly._raw(field, f_quot.degree, tuple(c * n // m for c in f_quot.coeffs))
-    return new1, theta2.times_linear(form), Branch.GENERIC, f_quot, g_quot
+    return Branch.GENERIC, f_quot, g_quot, num, den
 
 
 def _plus_q_times(big, small, num, den, py):
-    """``den*big + q*small`` for the q of :func:`_step`'s generic branch.
+    """``den*big + q*small`` for the q of :func:`_advance`'s generic branch.
 
     q has degree d = big.degree - small.degree and is ``num*x^d`` when ``py``
     is 0 (the form is y), else ``num*y^d + den*(x^d + ... + x*y^(d-1))``.
@@ -227,6 +241,27 @@ def _ramp(theta1, theta2, form, upto):
         yield theta1, theta2, branch
 
 
+def _ramp_degrees(theta1, theta2, form, upto):
+    """The degree pairs :func:`_ramp` yields, carrying only theta_i(form) / form^mult.
+
+    Over Q a generic f' is divided by its own content, not theta1's.  That
+    picks another basis, but degrees move only by the g-vanishing test on
+    the lower member, which the two bases share up to a scalar.
+    """
+    d1, d2 = theta1.degree, theta2.degree
+    f, g = theta1.apply(form), theta2.apply(form)
+    for _ in range(upto):
+        if d1 < d2:
+            d1, d2, f, g = d2, d1, g, f
+        branch, f, g, _, _ = _advance(f, g, form, d1 - d2)
+        d1, d2 = (d1 + 1, d2) if branch is Branch.G_VANISHING else (d1, d2 + 1)
+        if branch is Branch.GENERIC and not form.field.characteristic:
+            c = gcd(*f.coeffs)
+            if c > 1:
+                f = HomogPoly._raw(f.field, f.degree, tuple(v // c for v in f.coeffs))
+        yield d1, d2
+
+
 def _run_chain(arrangement: Multiarrangement, observer=None):
     """Fold :func:`_step` from (d/dx, d/dy) up to the full arrangement.
 
@@ -254,5 +289,14 @@ def build_basis(arrangement: Multiarrangement) -> BasisPair:
 
 
 def exponents(arrangement: Multiarrangement) -> tuple[int, int]:
-    """The exponents of the arrangement: basis degrees, largest first."""
-    return build_basis(arrangement).degrees()
+    """The exponents of the arrangement: basis degrees, largest first.
+
+    Any homogeneous basis has them as degrees, so the last hyperplane's ramp
+    tracks only the degrees (:func:`_ramp_degrees`).
+    """
+    items = arrangement.items()
+    pair = _run_chain(Multiarrangement(arrangement.field, items[:-1]))
+    degrees = pair.degrees()
+    if items:
+        *_, degrees = _ramp_degrees(pair.theta1, pair.theta2, *items[-1])
+    return tuple(sorted(degrees, reverse=True))

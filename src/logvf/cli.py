@@ -20,16 +20,16 @@ from .analysis import (
     unbalanced_exponents,
 )
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
-from .basis import BasisPair, build_basis, verify_basis
+from .basis import BasisPair, build_basis, exponents, verify_basis
 from .derivation import Derivation, saito_determinant
 from .field import Field
 from .oracle import dimension_table, exponents_by_oracle
 
 ORACLE_TOTAL_LIMIT = 16
-# ``basis`` and ``trace`` run the chain, quadratic in |mu| and slower still
-# over Q as coefficients grow.  On one core (Python 3.11) ``basis`` takes
-# 5.5 s at |mu| = 500 on the lines y, x, x + y, x - y, 2x + y (15 s at 600);
-# lines of larger height take longer at the same |mu|.
+# ``basis``, ``trace`` and ``exponents`` run the chain, quadratic in |mu|
+# and slower still over Q as coefficients grow.  On one core (Python 3.11)
+# ``basis`` takes 5.5 s at |mu| = 500 on the lines y, x, x + y, x - y,
+# 2x + y (15 s at 600); lines of larger height take longer at the same |mu|.
 CHAIN_TOTAL_LIMIT = 500
 
 
@@ -115,8 +115,17 @@ def _check_total(arrangement: Multiarrangement, limit: int, command: str) -> Non
 
 def _print_pair(pair: BasisPair) -> None:
     d1, d2 = pair.degrees()
-    print(f"theta1 (degree {d1}): {pair.theta1}")
-    print(f"theta2 (degree {d2}): {pair.theta2}")
+    # a basis over Q may hold integers past Python's 4300-digit str() limit;
+    # lift it for this output only, so parsing input keeps it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        print(f"theta1 (degree {d1}): {pair.theta1}")
+        print(f"theta2 (degree {d2}): {pair.theta2}")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _exponent_line(degrees) -> str:
@@ -142,7 +151,8 @@ def cmd_exponents(args) -> int:
     # a dominant line has closed-form exponents; its chain is quadratic in |mu|
     degrees = unbalanced_exponents(arrangement)
     if degrees is None:
-        degrees = build_basis(arrangement).degrees()
+        _check_total(arrangement, CHAIN_TOTAL_LIMIT, "exponents")
+        degrees = exponents(arrangement)
     print(_exponent_line(degrees))
     return 0
 

@@ -1,5 +1,6 @@
 """Traces, generic forms, closed forms, Frobenius bases, and the sweep."""
 
+import hashlib
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from logvf import (
     unbalanced_exponents,
     verify_basis,
 )
+from logvf import basis
 from logvf.analysis import ExperimentRow
 
 from conftest import sample_arrangements
@@ -294,6 +296,36 @@ def test_experiment_csv(tmp_path):
     assert lines[0] == "mu1,mu2,mu3,mu4,total,d1,d2,d,predicted_d2,agrees"
     assert len(lines) == 17
     assert lines[1] == "20,20,20,20,80,40,40,0,false,true"
+
+
+# sha256 of the CSV reports as built from full bases on every line
+EXPERIMENT_CSV_SHA256 = {
+    (20, 23): "e30d332bf2e7a0e5a0b9b5aeb4aa626e8273a2ba0f93dae9554790317e57c211",
+    (1, 6): "a7b5f6a995307dd354839464b15cd8aa0b5188080a42c07a993e77bb4a7c9648",
+}
+
+
+@pytest.mark.parametrize("lo, hi", sorted(EXPERIMENT_CSV_SHA256))
+def test_experiment_csv_is_unchanged(tmp_path, lo, hi):
+    out = tmp_path / "report.csv"
+    proposition_experiment(lo=lo, hi=hi).write_csv(out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPERIMENT_CSV_SHA256[(lo, hi)]
+
+
+@pytest.mark.parametrize("lo, hi, steps", [(20, 21, 147), (3, 5, 65)])
+def test_experiment_builds_no_derivation_on_the_last_line(monkeypatch, lo, hi, steps):
+    """The walk ramps hi steps per node of the first three lines: (1 + w + w^2) * hi."""
+    calls = []
+    step = basis._step
+
+    def counting(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(basis, "_step", counting)
+    proposition_experiment(lo=lo, hi=hi)
+    w = hi - lo + 1
+    assert len(calls) == (1 + w + w * w) * hi == steps
 
 
 def test_experiment_rejects_bad_arguments():

@@ -22,7 +22,8 @@ from logvf import (
     update_basis,
     verify_basis,
 )
-from logvf.basis import _plus_q_times, _step
+from logvf import basis
+from logvf.basis import _plus_q_times, _ramp, _ramp_degrees, _step
 
 from conftest import sample_arrangements
 
@@ -295,3 +296,81 @@ def test_generic_step_equals_dense_combination():
                     assert new1 == _generic_reference(theta1, theta2, form, m)
                 theta1, theta2 = new1, new2
     assert generic >= 20
+
+
+# ----------------------------------------------------------------------
+# the degrees-only ramp
+# ----------------------------------------------------------------------
+
+RAMP_FIELDS = [RATIONALS, Field(7), Field(101), Field(2**31 - 1)]
+NON_MONIC = [LinearForm(RATIONALS, 2, 1), LinearForm(RATIONALS, 3, -2)]
+
+
+def small_forms(field, limit=3):
+    """The distinct hyperplanes ax + by with |a|, |b| <= limit, canonical order."""
+    forms = {
+        LinearForm(field, a, b)
+        for a in range(-limit, limit + 1)
+        for b in range(-limit, limit + 1)
+        if a or b
+    }
+    return sorted(forms, key=LinearForm.sort_key)
+
+
+def ramp_cases(seed, count, fields=RAMP_FIELDS, max_lines=4):
+    """Seeded ``(arrangement, form, upto)``: a start and a hyperplane it lacks.
+
+    Arrangements over Q always hold the non-monic lines 2x + y and 3x - 2y.
+    """
+    rng = random.Random(seed)
+    for i in range(count):
+        field = fields[i % len(fields)]
+        pool = small_forms(field)
+        forms = rng.sample(pool, rng.randint(0, max_lines))
+        if field == RATIONALS:
+            forms = list(dict.fromkeys(forms + NON_MONIC))
+        arrangement = Multiarrangement(field, {f: rng.randint(1, 7) for f in forms})
+        form = rng.choice([f for f in pool if f not in arrangement])
+        yield arrangement, form, rng.randint(1, 40)
+
+
+def test_degree_ramp_matches_full_ramp():
+    for arrangement, form, upto in ramp_cases(seed=5, count=32):
+        theta1, theta2 = build_basis(arrangement)
+        full = [(t1.degree, t2.degree) for t1, t2, _ in _ramp(theta1, theta2, form, upto)]
+        assert list(_ramp_degrees(theta1, theta2, form, upto)) == full, (arrangement, form)
+
+
+def test_degree_ramp_quotients_stay_as_small_as_the_full_ramps(monkeypatch):
+    """Over Q the degrees-only ramp divides each generic quotient by its content.
+
+    Without that division the quotients grow by a factor den at every
+    generic step; with it they stay within a few bits of the full ramp's.
+    """
+    bits = []
+    advance = basis._advance
+
+    def spy(f_quot, g_quot, form, d):
+        bits.append(max(abs(c).bit_length() for c in f_quot.coeffs + g_quot.coeffs))
+        return advance(f_quot, g_quot, form, d)
+
+    monkeypatch.setattr(basis, "_advance", spy)
+    for arrangement, form, _ in ramp_cases(seed=3, count=8, fields=[RATIONALS]):
+        theta1, theta2 = build_basis(arrangement)
+        bits.clear()
+        list(_ramp(theta1, theta2, form, 40))
+        full = max(bits)
+        bits.clear()
+        list(_ramp_degrees(theta1, theta2, form, 40))
+        assert max(bits) <= full + 8, (arrangement, form)
+
+
+def test_exponents_equal_basis_degrees():
+    rng = random.Random(11)
+    cases = [Multiarrangement(field) for field in RAMP_FIELDS]
+    cases += [Multiarrangement(f.field, {f: rng.randint(1, 9)}) for f in small_forms(Field(7))[:3]]
+    cases += [Multiarrangement(RATIONALS, {f: rng.randint(1, 9)}) for f in NON_MONIC]
+    for arrangement, form, upto in ramp_cases(seed=7, count=40):
+        cases.append(Multiarrangement(arrangement.field, {**dict(arrangement.items()), form: upto}))
+    for arrangement in cases:
+        assert exponents(arrangement) == build_basis(arrangement).degrees(), arrangement

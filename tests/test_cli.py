@@ -1,9 +1,18 @@
 """End-to-end command-line behaviour: parsing, output, exit codes."""
 
+import sys
+
 import pytest
 
-from logvf import Field, LinearForm, Multiarrangement, RATIONALS
-from logvf.cli import CHAIN_TOTAL_LIMIT, ParseError, main, parse_arrangement_text, render_arrangement
+from logvf import BasisPair, Derivation, Field, HomogPoly, LinearForm, Multiarrangement, RATIONALS
+from logvf.cli import (
+    CHAIN_TOTAL_LIMIT,
+    ParseError,
+    _print_pair,
+    main,
+    parse_arrangement_text,
+    render_arrangement,
+)
 
 from conftest import sample_arrangements
 
@@ -94,7 +103,7 @@ def test_exponents_command_dominant_line_uses_closed_form(tmp_path, capsys, monk
     def no_chain(arrangement):
         raise AssertionError("the chain is quadratic in |mu| for a dominant line")
 
-    monkeypatch.setattr("logvf.cli.build_basis", no_chain)
+    monkeypatch.setattr("logvf.cli.exponents", no_chain)
     path = write(tmp_path, "field Q\n1 0 200000\n0 1 1\n")
     assert main(["exponents", path]) == 0
     assert capsys.readouterr().out == "exponents: {200000, 1}\n"
@@ -174,6 +183,41 @@ def test_chain_commands_accept_the_size_limit_itself(tmp_path, capsys, monkeypat
     assert capsys.readouterr().out.endswith("exponents: {2, 1}\n")
     assert main([command, write(tmp_path, "field Q\n1 0 3\n0 1 1\n")]) == 2
     assert "|mu| <= 3, got 4" in capsys.readouterr().err
+
+
+def test_exponents_command_size_limit(tmp_path, capsys, monkeypatch):
+    def no_chain(arrangement):
+        raise AssertionError("the chain must not start above the size limit")
+
+    monkeypatch.setattr("logvf.cli.exponents", no_chain)
+    monkeypatch.setattr("logvf.cli.build_basis", no_chain)
+    path = write(tmp_path, "field Q\n0 1 3000\n1 0 3000\n1 1 3000\n1 -1 3000\n")
+    assert main(["exponents", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: exponents is limited to |mu| <= {CHAIN_TOTAL_LIMIT}, got 12000\n"
+
+
+def test_print_pair_prints_integers_past_the_string_digit_limit(capsys):
+    big = 10**5000 - 1  # 5000 nines, beyond Python's default 4300-digit limit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    theta1 = Derivation(HomogPoly.constant(RATIONALS, big), HomogPoly.zero(RATIONALS, 0))
+    _print_pair(BasisPair(theta1, Derivation.partial_y(RATIONALS)))
+    assert "9" * 5000 in capsys.readouterr().out
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no integer string limit"
+)
+def test_parse_keeps_the_string_digit_limit(tmp_path, capsys):
+    path = write(tmp_path, f"field Q\n{'7' * 5000} 1 2\n0 1 1\n")
+    assert main(["basis", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: ")
+
 
 def test_trace_command(tmp_path, capsys):
     path = write(tmp_path, "field Q\n1 0 1\n0 1 1\n1 1 1\n")
