@@ -15,7 +15,7 @@ from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
 from .derivation import Derivation, saito_determinant
-from .poly import HomogPoly
+from .poly import HomogPoly, InexactDivisionError
 
 
 class Branch(enum.Enum):
@@ -69,19 +69,29 @@ class BasisPair:
 
 
 def verify_basis(pair: BasisPair, arrangement: Multiarrangement) -> bool:
-    """Saito's criterion: membership, independence, and degree sum |mu|.
+    """Saito's criterion: degree sum |mu|, membership, and independence.
 
-    Two derivations whose coefficient determinant is nonzero are independent
-    over the polynomial ring; if both lie in D(A, mu) and their degrees add up
-    to the total multiplicity, they form a homogeneous basis.
+    Two members whose degrees add up to |mu| form a basis when their
+    determinant f1*g2 - f2*g1 is nonzero.  Every alpha^m divides it and its
+    degree is |mu|, the sum of the m, so it is c * prod(alpha^m) for a
+    scalar c.  With k the multiplicity of x (0 when x is absent), that
+    product's x^k coefficient is the product of ay^m over the other forms,
+    and ay != 0 for every form but x.  So c != 0 exactly when the
+    determinant's x^k coefficient, an O(deg) sum, is nonzero.
     """
     if pair.field != arrangement.field:
         raise ValueError("pair and arrangement live over different fields")
     if sum(pair.degrees()) != arrangement.total:
         return False
-    if pair.determinant().is_zero():
+    theta1, theta2 = pair
+    if not (theta1.is_member(arrangement) and theta2.is_member(arrangement)):
         return False
-    return pair.theta1.is_member(arrangement) and pair.theta2.is_member(arrangement)
+    k = next((m for form, m in arrangement.items() if not form.ay.value), 0)
+    f1, g1, f2, g2 = theta1.f.coeffs, theta1.g.coeffs, theta2.f.coeffs, theta2.g.coeffs
+    span = range(max(0, k - theta2.degree), min(k, theta1.degree) + 1)
+    c = sum(f1[i] * g2[k - i] - g1[i] * f2[k - i] for i in span)
+    p = pair.field.characteristic
+    return bool(c % p if p else c)
 
 
 def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
@@ -116,10 +126,13 @@ def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
     if branch is Branch.F_VANISHING:
         return theta1, theta2.times_linear(form), branch, f_quot, g_quot
     py = form.point_raw()[1]
-    new1, factor = Derivation(
+    new1 = Derivation(
         _plus_q_times(theta1.f, theta2.f, num, den, py),
         _plus_q_times(theta1.g, theta2.g, num, den, py),
-    ).primitive()
+    )
+    if form.field.characteristic:  # primitive() is the identity over F_p
+        return new1, theta2.times_linear(form), branch, f_quot, g_quot
+    new1, factor = new1.primitive()
     if factor != 1:
         # primitive() divided new1 by an integer content; f' follows exactly
         n, m = factor.numerator, factor.denominator
@@ -133,20 +146,29 @@ def _advance(f_quot, g_quot, form, d):
     The quotients belong to a pair whose degrees differ by ``d`` >= 0,
     larger first.  A generic f' is (den*f + q*g) / form, not yet reduced;
     num and den, which fix q, are None in the other branches.
+
+    A monic form (every form over F_p; y and x + c*y over Q) divides each
+    quotient once and branches on the remainder r: h = form*Q + r*y^deg is
+    (-1)^deg * r at the kernel point (h = y*Q + r*x^deg is r for y).  A
+    generic step reuses both divisions, since den*f + q*g equals
+    form*(den*Qf + q*Qg) + y^deg(g) * (den*rf*y^d + rg*q): it adds the
+    bracket's exact quotient by the form to the first d coefficients.  A
+    non-monic form over Q evaluates first: dividing by it can leave Z.
     """
     px, py = form.point_raw()
-    g_val = g_quot.eval_raw(px, py)
+    monic = form.ax.value < 2
+    qg, g_val = g_quot._div_linear(form) if monic else (None, g_quot.eval_raw(px, py))
 
     if not g_val:
         # form^(mult+1) already divides theta2(form): multiply theta1 instead
-        g_quot = g_quot.div_linear_power(form, 1)
+        g_quot = qg if monic else g_quot.div_linear_power(form, 1)
         return Branch.G_VANISHING, f_quot, g_quot, None, None
 
-    f_val = f_quot.eval_raw(px, py)
+    qf, f_val = f_quot._div_linear(form) if monic else (None, f_quot.eval_raw(px, py))
 
     if not f_val:
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
-        f_quot = f_quot.div_linear_power(form, 1)
+        f_quot = qf if monic else f_quot.div_linear_power(form, 1)
         return Branch.F_VANISHING, f_quot, g_quot, None, None
 
     # generic case: clear the obstruction with den*theta1 + q*theta2, where
@@ -157,6 +179,9 @@ def _advance(f_quot, g_quot, form, d):
     # for num*x^d), which _plus_q_times reads off prefix sums in O(deg) where
     # a dense product costs O(deg*d)
     p = form.field.characteristic
+    rf, rg = f_val, g_val
+    if monic and py and d % 2:
+        f_val = -f_val  # the values are (-1)^deg times these; only the ratio counts
     if py:
         tail, power = 0, 1
         for _ in range(d):
@@ -171,7 +196,24 @@ def _advance(f_quot, g_quot, form, d):
     else:
         c = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // c, den // c
-    f_quot = _plus_q_times(f_quot, g_quot, num, den, py).div_linear_power(form, 1)
+    if not monic:
+        f_quot = _plus_q_times(f_quot, g_quot, num, den, py).div_linear_power(form, 1)
+        return Branch.GENERIC, f_quot, g_quot, num, den
+
+    # synthetic division of the bracket from x^d (each coefficient above y^d
+    # is den*rg) gives den*t_j on x^j y^(d-1-j), t_(d-1) = rg and t_(j-1) =
+    # rg - ay*t_j, and leaves den*(rf - ay*t_0) + num*rg, which must vanish
+    ay, t = form.ay.value, 0
+    if py and d:
+        cs = list(qf.coeffs)
+        for j in range(d - 1, -1, -1):
+            t = (rg - ay * t) % p if p else rg - ay * t
+            cs[j] += t
+        qf = HomogPoly._raw(qf.field, qf.degree, tuple(cs))
+    r = den * (rf - ay * t) + num * rg
+    if r % p if p else r:
+        raise InexactDivisionError(f"{form} does not divide the generic combination")
+    f_quot = _plus_q_times(qf, qg, num, den, py)
     return Branch.GENERIC, f_quot, g_quot, num, den
 
 
@@ -192,7 +234,7 @@ def _plus_q_times(big, small, num, den, py):
             out = [(b + num * c) % p for b, c in pairs]
         else:
             out = [den * b + num * c for b, c in pairs]
-    else:
+    elif d > 1:
         # W_k = s[min(k, n)] - s[max(k - d, 0)] over the prefix sums s of h
         s = list(accumulate(h, initial=0))
         n = len(h)
@@ -203,6 +245,13 @@ def _plus_q_times(big, small, num, den, py):
             out = [(b + u - v + num * c) % p for b, u, v, c in quads]
         else:
             out = [den * (b + u - v) + num * c for b, u, v, c in quads]
+    else:
+        # W_k is h_(k-1) when d is 1 and empty when d is 0: no prefix sums
+        triples = zip(B, chain((0,), h) if d else repeat(0), chain(h, repeat(0, d)))
+        if p:
+            out = [(b + w + num * c) % p for b, w, c in triples]
+        else:
+            out = [den * (b + w) + num * c for b, w, c in triples]
     return HomogPoly._raw(big.field, big.degree, tuple(out))
 
 

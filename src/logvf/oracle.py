@@ -97,13 +97,14 @@ def _rank_mod_p(rows, p: int) -> int:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        # left of col every row below the rank is already zero
         inv = pow(mat[rank][col], -1, p)
-        piv_row = [v * inv % p for v in mat[rank]]
-        mat[rank] = piv_row
+        piv_tail = [v * inv % p for v in mat[rank][col:]]
         for i in range(rank + 1, len(mat)):
-            factor = mat[i][col] % p
+            row = mat[i]
+            factor = row[col] % p
             if factor:
-                mat[i] = [(v - factor * w) % p for v, w in zip(mat[i], piv_row)]
+                row[col:] = [(v - factor * w) % p for v, w in zip(row[col:], piv_tail)]
         rank += 1
         if rank == len(mat):
             break

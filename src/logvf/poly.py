@@ -17,11 +17,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arrangement import LinearForm
-from .field import Field, FieldElement
+from .field import Field, FieldElement, _shrink
 
 
 class InexactDivisionError(ArithmeticError):
     """Division by a power of a linear form left a nonzero remainder."""
+
+
+def _collapse(coeffs):
+    """Integral Fractions as plain ints; a tuple without Fractions as is."""
+    return tuple(map(_shrink, coeffs)) if Fraction in map(type, coeffs) else coeffs
 
 
 class HomogPoly:
@@ -116,7 +121,7 @@ class HomogPoly:
         if p:
             coeffs = tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         else:
-            coeffs = tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+            coeffs = _collapse(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
         return HomogPoly._raw(self.field, self.degree, coeffs)
 
     def __neg__(self):
@@ -144,9 +149,8 @@ class HomogPoly:
                     if bj:
                         out[i + j] += ai * bj
             p = self.field.characteristic
-            if p:
-                out = [c % p for c in out]
-            return HomogPoly._raw(self.field, self.degree + other.degree, tuple(out))
+            out = tuple(c % p for c in out) if p else _collapse(tuple(out))
+            return HomogPoly._raw(self.field, self.degree + other.degree, out)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -163,31 +167,27 @@ class HomogPoly:
         if p:
             coeffs = tuple(a * raw % p for a in self.coeffs)
         else:
-            coeffs = tuple(a * raw for a in self.coeffs)
+            coeffs = _collapse(tuple(a * raw for a in self.coeffs))
         return HomogPoly._raw(self.field, self.degree, coeffs)
 
     def times_linear(self, form: LinearForm) -> "HomogPoly":
-        """Multiply by a linear form (one synthetic convolution pass)."""
+        """Multiply by a linear form: the x^k coefficient is ay*h_k + ax*h_(k-1)."""
         if form.field != self.field:
             raise ValueError("form belongs to a different field")
         a, b = form.ax.value, form.ay.value
         src = self.coeffs
-        n = len(src)
-        out = [0] * (n + 1)
-        p = self.field.characteristic
-        if p:
-            for j in range(n):
-                s = src[j]
-                if s:
-                    out[j] = (out[j] + b * s) % p
-                    out[j + 1] = (out[j + 1] + a * s) % p
+        if not a:  # y: x^j y^(d-j) becomes x^j y^(d+1-j)
+            out = src + (0,)
+        elif not b:  # x: x^j y^(d-j) becomes x^(j+1) y^(d-j)
+            out = (0,) + src
         else:
-            for j in range(n):
-                s = src[j]
-                if s:
-                    out[j] = out[j] + b * s
-                    out[j + 1] = out[j + 1] + a * s
-        return HomogPoly._raw(self.field, self.degree + 1, tuple(out))
+            p = self.field.characteristic
+            pairs = zip(src + (0,), (0,) + src)
+            if p:
+                out = tuple((b * s + a * t) % p for s, t in pairs)
+            else:
+                out = tuple(b * s + a * t for s, t in pairs)
+        return HomogPoly._raw(self.field, self.degree + 1, out)
 
     # ------------------------------------------------------------------
     # evaluation and division by linear forms
@@ -243,6 +243,9 @@ class HomogPoly:
         if not a:
             # form is y: x^j y^(d-j) = y * (x^j y^(d-1-j)) for j < d
             return HomogPoly._raw(self.field, d - 1, cs[:d]), cs[d]
+        if not b:
+            # form is x: x^j y^(d-j) = x * (x^(j-1) y^(d-j)) for j > 0
+            return HomogPoly._raw(self.field, d - 1, cs[1:]), cs[0]
         # peel (a*x + b*y) off from the top; a == 1 over F_p
         q = [0] * d
         t = cs[d]

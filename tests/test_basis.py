@@ -1,5 +1,6 @@
 """The update step, the full chain construction, and Saito verification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -374,3 +375,141 @@ def test_exponents_equal_basis_degrees():
         cases.append(Multiarrangement(arrangement.field, {**dict(arrangement.items()), form: upto}))
     for arrangement in cases:
         assert exponents(arrangement) == build_basis(arrangement).degrees(), arrangement
+
+
+# ----------------------------------------------------------------------
+# one division per quotient per step
+# ----------------------------------------------------------------------
+
+
+def _advance_by_evaluation(f_quot, g_quot, form, d):
+    """The step on quotients as it was before it branched on remainders.
+
+    Evaluate at the kernel point, divide on a vanishing branch, and divide
+    the whole generic combination again: the reference for basis._advance.
+    """
+    px, py = form.point_raw()
+    g_val = g_quot.eval_raw(px, py)
+    if not g_val:
+        return Branch.G_VANISHING, f_quot, g_quot.div_linear_power(form, 1), None, None
+    f_val = f_quot.eval_raw(px, py)
+    if not f_val:
+        return Branch.F_VANISHING, f_quot.div_linear_power(form, 1), g_quot, None, None
+    p = form.field.characteristic
+    if py:
+        tail, power = 0, 1
+        for _ in range(d):
+            power = power * px % p if p else power * px
+            tail = (tail * py + power) % p if p else tail * py + power
+        num, den = -f_val - tail * g_val, g_val * pow(py, d, p or None)
+    else:
+        num, den = -f_val, g_val
+    if p:
+        num, den = num * pow(den, -1, p) % p, 1
+    else:
+        c = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        num, den = num // c, den // c
+    f_quot = _plus_q_times(f_quot, g_quot, num, den, py).div_linear_power(form, 1)
+    return Branch.GENERIC, f_quot, g_quot, num, den
+
+
+def advance_inputs(monkeypatch, field, seed, count):
+    """Every ``_advance`` argument tuple of seeded chains over ``field``.
+
+    One line of each arrangement has multiplicity 13 to 16, so the degree
+    gap d runs through 0..12; over Q the non-monic 2x + y and 3x - 2y are
+    always present.
+    """
+    seen = []
+    advance = basis._advance
+
+    def spy(*args):
+        seen.append(args)
+        return advance(*args)
+
+    monkeypatch.setattr(basis, "_advance", spy)
+    rng = random.Random(seed)
+    pool = small_forms(field)
+    for _ in range(count):
+        forms = rng.sample(pool, rng.randint(2, 4))
+        if field == RATIONALS:
+            forms = list(dict.fromkeys(forms + NON_MONIC))
+        mult = {f: rng.randint(1, 6) for f in forms}
+        mult[rng.choice(forms)] = rng.randint(13, 16)
+        build_basis(Multiarrangement(field, mult))
+    monkeypatch.setattr(basis, "_advance", advance)
+    return seen
+
+
+@pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)
+def test_advance_matches_evaluate_then_divide(monkeypatch, field):
+    covered = set()
+    for f_quot, g_quot, form, d in advance_inputs(monkeypatch, field, seed=17, count=12):
+        new = basis._advance(f_quot, g_quot, form, d)
+        old = _advance_by_evaluation(f_quot, g_quot, form, d)
+        assert new[0] is old[0] and new[3:] == old[3:], (form, d)
+        for a, b in zip(new[1:3], old[1:3]):
+            assert (a.degree, a.coeffs) == (b.degree, b.coeffs), (form, d)
+        covered.add((new[0], d if new[0] is Branch.GENERIC else None))
+    assert {branch for branch, _ in covered} == set(Branch)
+    assert {d for _, d in covered} >= set(range(13))
+
+
+@pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)
+def test_monic_chains_never_evaluate(monkeypatch, field):
+    def refuse(self, a, b):
+        raise AssertionError("eval_raw called on a monic form")
+
+    monkeypatch.setattr(HomogPoly, "eval_raw", refuse)
+    rng = random.Random(23)
+    monic = [f for f in small_forms(field) if f.ax.value < 2]
+    for _ in range(6):
+        chosen = rng.sample(monic, rng.randint(1, 5))
+        arrangement = Multiarrangement(field, {f: rng.randint(1, 12) for f in chosen})
+        assert verify_basis(build_basis(arrangement), arrangement)
+        exponents(arrangement)
+
+
+def test_only_non_monic_steps_evaluate(monkeypatch):
+    points = []
+    evaluate = HomogPoly.eval_raw
+
+    def record(self, a, b):
+        points.append((a, b))
+        return evaluate(self, a, b)
+
+    monkeypatch.setattr(HomogPoly, "eval_raw", record)
+    arrangement = Multiarrangement(
+        RATIONALS, {Y: 3, X: 4, XY: 5, LinearForm(RATIONALS, 1, -2): 2, NON_MONIC[0]: 6}
+    )
+    assert verify_basis(build_basis(arrangement), arrangement)
+    # 2x + y vanishes at (1, -2); each of its 6 steps evaluates once or twice
+    assert 6 <= len(points) <= 12 and set(points) == {(1, -2)}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(101)], ids=str)
+def test_verify_basis_rejects_dependent_members(monkeypatch, field):
+    # (theta_low, alpha^gap * theta_low): members whose degrees add up to |mu|
+    # but whose determinant is zero
+    rng = random.Random(31)
+    cases = []
+    for alpha in [LinearForm(field, 1, 0), LinearForm(field, 0, 1), LinearForm(field, 1, 1)]:
+        for _ in range(4):
+            chosen = rng.sample(small_forms(field), 3) + [alpha]
+            arrangement = Multiarrangement(field, {f: rng.randint(1, 6) for f in chosen})
+            pair = build_basis(arrangement)
+            high = pair.theta2
+            for _ in range(pair.theta1.degree - pair.theta2.degree):
+                high = high.times_linear(alpha)
+            dependent = BasisPair(high, pair.theta2)
+            assert dependent.determinant().is_zero()
+            cases.append((arrangement, pair, dependent))
+
+    def refuse(self, other):
+        raise AssertionError("dense product in verify_basis")
+
+    monkeypatch.setattr(HomogPoly, "__mul__", refuse)
+    for arrangement, pair, dependent in cases:
+        assert all(theta.is_member(arrangement) for theta in dependent)
+        assert verify_basis(pair, arrangement)
+        assert not verify_basis(dependent, arrangement)

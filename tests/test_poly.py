@@ -1,5 +1,7 @@
 """Homogeneous polynomial arithmetic, evaluation and linear-form division."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -184,3 +186,57 @@ def test_distributivity_mod_p(pq):
     p, q = pq
     r = HomogPoly.monomial(Field(5), 0, 0, 2)
     assert (p + q) * r == p * r + q * r
+
+
+KERNEL_FIELDS = [RATIONALS, Field(7), Field(2**31 - 1)]
+
+
+def monic_form(field, kind, c):
+    """The form y, x or x + c*y."""
+    if kind == "y":
+        return LinearForm(field, 0, 1)
+    return LinearForm(field, 1, 0 if kind == "x" else c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(KERNEL_FIELDS),
+    coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=31),
+    kind=st.sampled_from(["y", "x", "x + c*y"]),
+    c=st.integers(-20, 20),
+)
+def test_div_linear_remainder_identity(field, coeffs, kind, c):
+    # h = form*q + r*y^deg (r*x^deg for y), so h(point) = (-1)^deg * r (r for y)
+    h = HomogPoly(field, coeffs)
+    form = monic_form(field, kind, c)
+    q, r = h._div_linear(form)
+    deg = h.degree
+    rest = HomogPoly.monomial(field, deg, deg if kind == "y" else 0, r)
+    assert q.times_linear(form) + rest == h
+    signed = -r if kind != "y" and deg % 2 else r
+    p = field.characteristic
+    assert h.eval_raw(*form.point_raw()) == (signed % p if p else signed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    field=st.sampled_from(KERNEL_FIELDS),
+    coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=31),
+    ax=st.integers(-5, 5),
+    ay=st.integers(-5, 5),
+)
+def test_times_linear_matches_dense_product(field, coeffs, ax, ay):
+    if not (ax or ay):
+        ax = 1
+    h = HomogPoly(field, coeffs)
+    form = LinearForm(field, ax, ay)  # non-monic over Q when |ax| > 1
+    product = h.times_linear(form)
+    reference = h * HomogPoly.linear(form)
+    assert (product.degree, product.coeffs) == (reference.degree, reference.coeffs)
+
+
+def test_rational_arithmetic_collapses_integral_fractions():
+    h = P([Fraction(1, 2), 3])
+    for out in (h.scale(2), h + h, h * P([2])):
+        assert out.coeffs == (1, 6)
+        assert all(type(c) is int for c in out.coeffs)
