@@ -33,7 +33,7 @@ from .basis import (
     verify_basis,
 )
 from .derivation import Derivation, saito_determinant
-from .field import RATIONALS, Field, FieldElement, FieldKind
+from .field import RATIONALS, Field, FieldElement
 from .oracle import dim_degree, dimension_table, exponents_by_oracle
 from .poly import HomogPoly, InexactDivisionError
 
@@ -46,7 +46,6 @@ __all__ = [
     "ExperimentRow",
     "Field",
     "FieldElement",
-    "FieldKind",
     "HomogPoly",
     "InexactDivisionError",
     "LinearForm",

@@ -114,11 +114,8 @@ def find_generic_form(theta2: Derivation, exclude=()) -> LinearForm:
     """
     field = theta2.field
     excluded = set(exclude)
-    p = field.characteristic
-    if p:
-        for form in [LinearForm(field, 0, 1)] + [
-            LinearForm(field, 1, c) for c in range(p)
-        ]:
+    if field.characteristic:
+        for form in all_hyperplanes(field):
             if form not in excluded and _avoids_obstruction(theta2, form):
                 return form
         raise NoGenericFormError(

@@ -44,11 +44,8 @@ class LinearForm:
                 g = -g
             a, b = a // g, b // g
         self.field = field
-        self.ax = FieldElement._wrap(field, a)
-        self.ay = FieldElement._wrap(field, b)
-
-    def coefficients(self) -> tuple[FieldElement, FieldElement]:
-        return (self.ax, self.ay)
+        self.ax = FieldElement(field, a)
+        self.ay = FieldElement(field, b)
 
     def point_raw(self):
         """A raw point (ay, -ax) spanning the kernel of the form."""
@@ -147,22 +144,6 @@ class Multiarrangement:
             raise ValueError("form belongs to a different field")
         new = dict(self._mult)
         new[form] = new.get(form, 0) + 1
-        return Multiarrangement(self.field, new)
-
-    def decremented(self, form: LinearForm) -> "Multiarrangement":
-        """A copy with the multiplicity of ``form`` lowered by one.
-
-        The hyperplane disappears when its multiplicity reaches zero.
-        Lowering an absent hyperplane is an error.
-        """
-        m = self._mult.get(form)
-        if m is None:
-            raise ValueError(f"hyperplane {form} is not in the arrangement")
-        new = dict(self._mult)
-        if m == 1:
-            del new[form]
-        else:
-            new[form] = m - 1
         return Multiarrangement(self.field, new)
 
     def __eq__(self, other):

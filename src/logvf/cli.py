@@ -31,6 +31,9 @@ ORACLE_TOTAL_LIMIT = 16
 # ``basis`` takes 5.5 s at |mu| = 500 on the lines y, x, x + y, x - y,
 # 2x + y (15 s at 600); lines of larger height take longer at the same |mu|.
 CHAIN_TOTAL_LIMIT = 500
+# ``frobenius`` takes 5.8 s at |mu| = 4094 (p = 4093, i = 0); ``prop-experiment`` 6.5 s on [20, 34]^4.
+FROBENIUS_TOTAL_LIMIT = 4096
+PROP_TUPLE_LIMIT = 15**4
 
 
 class ParseError(ValueError):
@@ -198,9 +201,13 @@ def cmd_trace(args) -> int:
 
 def cmd_frobenius(args) -> int:
     p, i = args.p, args.i
+    field = Field(p)
+    # |mu| > p^(i+1); compare without building p^i, which may be huge
+    e = max(i, 0) + 1
+    if p ** min(e, FROBENIUS_TOTAL_LIMIT.bit_length()) > FROBENIUS_TOTAL_LIMIT:
+        raise ParseError(None, f"frobenius is limited to |mu| <= {FROBENIUS_TOTAL_LIMIT}, and |mu| > {p}^{e}")
     shifts = None
     if args.shifts is not None:
-        field = Field(p)
         hyperplanes = all_hyperplanes(field)
         parts = args.shifts.split(",")
         if len(parts) != len(hyperplanes):
@@ -214,6 +221,7 @@ def cmd_frobenius(args) -> int:
             raise ParseError(None, "--shifts values must be integers") from None
         shifts = dict(zip(hyperplanes, values))
     arrangement = frobenius_arrangement(p, i, shifts)
+    _check_total(arrangement, FROBENIUS_TOTAL_LIMIT, "frobenius")
     pair = frobenius_basis(p, i, shifts)
     print(f"field: F_{p}")
     print(f"multiplicities: {arrangement}")
@@ -224,6 +232,10 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_prop_experiment(args) -> int:
+    count = max(args.hi - args.lo + 1, 0) ** 4
+    if count > PROP_TUPLE_LIMIT or 4 * args.hi > CHAIN_TOTAL_LIMIT:  # the largest |mu| is 4*hi
+        limits = f"{PROP_TUPLE_LIMIT} tuples and hi <= {CHAIN_TOTAL_LIMIT // 4}"
+        raise ParseError(None, f"prop-experiment is limited to {limits}, got {count} tuples, hi = {args.hi}")
     report = proposition_experiment(lo=args.lo, hi=args.hi)
     print(report.summary())
     if args.out:
@@ -286,9 +298,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ZeroDivisionError, NoGenericFormError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,17 +1,16 @@
-"""Exact scalar arithmetic over the rationals and over prime finite fields.
+"""Exact scalars over the rationals and over prime finite fields.
 
-Rational values are ``fractions.Fraction``; a rational that happens to be an
-integer is stored as a plain ``int``.  The basis construction over Q keeps
-every coefficient integral, so its chains run entirely in native ints.
-Prime-field residues are plain ``int`` values reduced into ``[0, p)``.
-
-The "raw" values described above are what the polynomial layer stores
-internally; :class:`FieldElement` is the public scalar wrapper.
+Every scalar is a raw value: over Q a ``fractions.Fraction``, stored as a
+plain ``int`` when it is integral (the basis construction over Q keeps every
+coefficient integral, so its chains run entirely in native ints); over F_p an
+``int`` reduced into ``[0, p)``.  All arithmetic is on these raw values.
+:meth:`Field.coerce` is the one validator of scalars from outside, and
+:class:`FieldElement` is only the read-only ``(field, value)`` pair that a
+linear form exposes as its coefficients.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,10 +21,10 @@ _rational = Fraction  # the rational type, named for tools that report it
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
-
-class FieldKind(enum.Enum):
-    RATIONALS = "rationals"
-    PRIME = "prime"
+# Largest decimal exponent accepted in a string such as "1e3".  Fraction builds
+# 10**exp itself, out of reach of Python's 4300-digit limit on integer strings,
+# so "1e10000000" would take seconds; this bound matches that limit.
+_EXPONENT_LIMIT = 4300
 
 
 def _is_prime(n: int) -> bool:
@@ -61,6 +60,22 @@ def _shrink(v):
     return int(v) if v.denominator == 1 else v
 
 
+def _parse_rational(s: str):
+    """Parse a numeric string such as ``"2/3"``, ``"-5"``, ``"0.25"`` or ``"1e3"``."""
+    _, e, exp = s.lower().partition("e")
+    if e:
+        try:
+            too_big = abs(int(exp)) > _EXPONENT_LIMIT
+        except ValueError:  # malformed or over-long: Fraction rejects it below
+            too_big = False
+        if too_big:
+            raise ValueError(f"exponent in {s!r} is beyond +-{_EXPONENT_LIMIT}")
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"cannot parse {s!r} as a rational number") from exc
+
+
 @dataclass(frozen=True)
 class Field:
     """The rationals (characteristic 0) or a prime field F_p (characteristic p)."""
@@ -72,37 +87,8 @@ class Field:
         if p != 0 and not _is_prime(p):
             raise ValueError(f"characteristic must be 0 or a prime, got {p}")
 
-    @property
-    def kind(self) -> FieldKind:
-        return FieldKind.PRIME if self.characteristic else FieldKind.RATIONALS
-
     def __str__(self):
         return f"F_{self.characteristic}" if self.characteristic else "Q"
-
-    # ------------------------------------------------------------------
-    # element construction
-    # ------------------------------------------------------------------
-
-    def element(self, x) -> "FieldElement":
-        """Build a field element from an int, Fraction, string or FieldElement."""
-        return FieldElement(self, x)
-
-    def from_integer(self, n: int) -> "FieldElement":
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"expected an integer, got {type(n).__name__}")
-        return FieldElement(self, n)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement._wrap(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement._wrap(self, 1)
-
-    # ------------------------------------------------------------------
-    # raw-value kernels (internal to the package)
-    # ------------------------------------------------------------------
 
     def coerce(self, x):
         """Convert ``x`` to a raw backend scalar.
@@ -120,122 +106,45 @@ class Field:
         elif isinstance(x, float):
             raise ValueError("floats are not exact; pass an int, Fraction or string")
         if isinstance(x, str):
-            try:
-                x = Fraction(x)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"cannot parse {x!r} as a rational number") from exc
+            x = _parse_rational(x)
         p = self.characteristic
-        if p:
-            if isinstance(x, int):
-                return x % p
-            try:
-                num, den = x.numerator, x.denominator
-            except AttributeError:
-                raise ValueError(f"cannot interpret {x!r} as a field element") from None
-            den %= p
-            if den == 0:
-                raise ZeroDivisionError(f"denominator of {x} vanishes modulo {p}")
-            return num * pow(den, -1, p) % p
         if isinstance(x, int):
-            return x
+            return x % p if p else x
         try:
             num, den = x.numerator, x.denominator
         except AttributeError:
             raise ValueError(f"cannot interpret {x!r} as a field element") from None
-        return _shrink(Fraction(num, den))
+        if not p:
+            return _shrink(Fraction(num, den))
+        den %= p
+        if den == 0:
+            raise ZeroDivisionError(f"denominator of {x} vanishes modulo {p}")
+        return num * pow(den, -1, p) % p
 
     def div_raw(self, a, b):
+        """``a / b`` for raw residues of F_p (prime fields only)."""
         if not b:
             raise ZeroDivisionError("division by zero field element")
         p = self.characteristic
-        if p:
-            return a * pow(b, -1, p) % p
-        return _shrink(Fraction(a) / b)
+        return a * pow(b, -1, p) % p
 
 
 RATIONALS = Field(0)
 
 
 class FieldElement:
-    """An immutable exact scalar drawn from a specific :class:`Field`."""
+    """A read-only raw scalar tagged with its :class:`Field`; it has no arithmetic."""
 
     __slots__ = ("field", "value")
 
     def __init__(self, field: Field, value):
         self.field = field
-        self.value = field.coerce(value)
-
-    @classmethod
-    def _wrap(cls, field: Field, raw) -> "FieldElement":
-        """Wrap an already-coerced raw value without re-checking it."""
-        el = object.__new__(cls)
-        el.field = field
-        el.value = raw
-        return el
-
-    # ------------------------------------------------------------------
-
-    def _other_raw(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise ValueError("operands belong to different fields")
-            return other.value
-        return self.field.coerce(other)
-
-    def _new(self, raw) -> "FieldElement":
-        p = self.field.characteristic
-        return FieldElement._wrap(self.field, raw % p if p else raw)
-
-    def __add__(self, other):
-        return self._new(self.value + self._other_raw(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._new(self.value - self._other_raw(other))
-
-    def __rsub__(self, other):
-        return self._new(self._other_raw(other) - self.value)
-
-    def __mul__(self, other):
-        return self._new(self.value * self._other_raw(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement._wrap(self.field, self.field.div_raw(self.value, self._other_raw(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement._wrap(self.field, self.field.div_raw(self._other_raw(other), self.value))
-
-    def __neg__(self):
-        return self._new(-self.value)
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise ValueError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** -n
-        return self._new(pow(self.value, n, self.field.characteristic or None))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement._wrap(self.field, self.field.div_raw(1, self.value))
-
-    def is_zero(self) -> bool:
-        return not self.value
-
-    def __bool__(self):
-        return bool(self.value)
+        self.value = value
 
     def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, float):
+        if not isinstance(other, FieldElement):
             return NotImplemented
-        try:
-            return self.value == self.field.coerce(other)
-        except (ValueError, ZeroDivisionError):
-            return NotImplemented
+        return self.field == other.field and self.value == other.value
 
     def __hash__(self):
         return hash((self.field, self.value))

@@ -8,12 +8,18 @@ modular over F_p).  Divisibility of a homogeneous polynomial h by
 ``(x + c*y)^k`` is read off from its expansion in the variables
 ``u = x + c*y, v = y``: the coefficients of u^0, ..., u^(k-1) must vanish, and
 they are integer-binomial combinations of the coefficients of h.
+
+For a primitive integer form ``ax*x + ay*y`` over Q (c = ay/ax) the u^k
+condition is multiplied by ax^(d+1-k) (by one over F_p), which makes every row
+integral; for a prime dividing no ax, the rows reduced mod p span the same
+space as the rows of the reduced forms.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 
 from .arrangement import Multiarrangement
 
@@ -28,40 +34,34 @@ def _constraint_rows(arrangement: Multiarrangement, d: int):
     rows = []
     for form, mult in arrangement.items():
         ax, ay = form.ax.value, form.ay.value
-        c = ay if ax <= 1 else Fraction(ay, ax)  # the slope: form = ax*(x + c*y)
+        # ax^0, ..., ax^(d+1) over Q; over F_p ax <= 1 and rows need no scale
+        pw = None if p else list(accumulate(repeat(ax, d + 1), mul, initial=1))
         for k in range(min(mult, d + 1)):
             row = [0] * (2 * (d + 1))
             if not ax:
                 # form is y; theta(y) = g and the u^k coefficient is g_(d-k)
                 row[(d + 1) + (d - k)] = 1
             else:
-                # u^k coefficient of h: sum_j C(j, k) * (-c)^(j-k) * h_j,
-                # with h_j = f_j + c * g_j
+                # ax^(d+1-k) times the u^k coefficient of h = ax*f + ay*g:
+                # sum_j C(j, k) * (-ay)^(j-k) * ax^(d-j) * (ax*f_j + ay*g_j)
                 t = 1
                 for j in range(k, d + 1):
                     w = math.comb(j, k) * t
                     if p:
                         w %= p
                         row[j] = w
-                        row[(d + 1) + j] = w * c % p
+                        row[(d + 1) + j] = w * ay % p
                     else:
-                        row[j] = w
-                        row[(d + 1) + j] = w * c
-                    t = t * (-c) % p if p else t * (-c)
+                        row[j] = w * pw[d + 1 - j]
+                        row[(d + 1) + j] = w * ay * pw[d - j]
+                    t = t * -ay % p if p else t * -ay
             rows.append(row)
     return rows
 
 
 def _rank_rational(rows) -> int:
-    """Rank over Q via denominator clearing and Bareiss fraction-free elimination."""
-    mat = []
-    for row in rows:
-        lcm_den = 1
-        for v in row:
-            lcm_den = math.lcm(lcm_den, int(v.denominator))
-        mat.append([int(v.numerator) * (lcm_den // int(v.denominator)) for v in row])
-    if not mat:
-        return 0
+    """Rank over Q of integer rows by Bareiss fraction-free elimination."""
+    mat = [list(row) for row in rows]
     ncols = len(mat[0])
     rank = 0
     prev = 1
@@ -88,8 +88,6 @@ def _rank_rational(rows) -> int:
 def _rank_mod_p(rows, p: int) -> int:
     """Rank over F_p by ordinary row reduction."""
     mat = [list(row) for row in rows]
-    if not mat:
-        return 0
     ncols = len(mat[0])
     rank = 0
     for col in range(ncols):

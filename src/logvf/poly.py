@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arrangement import LinearForm
-from .field import Field, FieldElement, _shrink
+from .field import Field, _shrink
 
 
 class InexactDivisionError(ArithmeticError):
@@ -72,11 +72,6 @@ class HomogPoly:
         coeffs = [0] * (degree + 1)
         coeffs[x_power] = c
         return cls._raw(field, degree, tuple(coeffs))
-
-    @classmethod
-    def linear(cls, form: LinearForm) -> "HomogPoly":
-        """The degree-1 polynomial equal to the given linear form."""
-        return cls._raw(form.field, 1, (form.ay.value, form.ax.value))
 
     # ------------------------------------------------------------------
     # predicates and equality
@@ -208,23 +203,6 @@ class HomogPoly:
                 bp = bp * b
                 r = r * a + cs[j] * bp
         return r
-
-    def eval(self, x_value, y_value) -> FieldElement:
-        """Evaluate at a point; arguments may be ints, Fractions or FieldElements."""
-        a = self.field.coerce(x_value)
-        b = self.field.coerce(y_value)
-        return FieldElement._wrap(self.field, self.eval_raw(a, b))
-
-    def is_divisible_by(self, form: LinearForm) -> bool:
-        """Whether the linear form divides this polynomial.
-
-        A homogeneous polynomial is divisible by a linear form exactly when it
-        vanishes at a nonzero point of the form's kernel, so this is a single
-        evaluation rather than a division.
-        """
-        if form.field != self.field:
-            raise ValueError("form belongs to a different field")
-        return not self.eval_raw(*form.point_raw())
 
     def _div_linear(self, form: LinearForm):
         """One synthetic division step: returns (quotient, raw remainder scalar).

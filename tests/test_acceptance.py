@@ -236,7 +236,7 @@ def test_criterion_9_exactness():
                 bad += 1
     float_rejected = True
     try:
-        RATIONALS.element(0.5)
+        RATIONALS.coerce(0.5)
         float_rejected = False
     except ValueError:
         pass

@@ -62,15 +62,14 @@ def test_total():
     assert Multiarrangement(RATIONALS, {xy: 1}).total == 1
 
 
-def test_increment_decrement():
+def test_incremented():
     x, y, _ = x_y_xy()
     arr = Multiarrangement(RATIONALS, {x: 1})
-    up = arr.incremented(y)
-    assert up == Multiarrangement(RATIONALS, {x: 1, y: 1})
-    assert arr.decremented(x) == Multiarrangement(RATIONALS)
-    assert arr.incremented(y).decremented(y) == arr
+    assert arr.incremented(y) == Multiarrangement(RATIONALS, {x: 1, y: 1})
+    assert arr.incremented(x) == Multiarrangement(RATIONALS, {x: 2})
+    assert arr == Multiarrangement(RATIONALS, {x: 1})  # the original is unchanged
     with pytest.raises(ValueError):
-        arr.decremented(y)
+        arr.incremented(LinearForm(Field(5), 1, 0))
 
 
 def test_invalid_multiplicities():

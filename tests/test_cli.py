@@ -1,12 +1,24 @@
 """End-to-end command-line behaviour: parsing, output, exit codes."""
 
 import sys
+import time
 
 import pytest
 
-from logvf import BasisPair, Derivation, Field, HomogPoly, LinearForm, Multiarrangement, RATIONALS
+from logvf import (
+    BasisPair,
+    Derivation,
+    Field,
+    HomogPoly,
+    LinearForm,
+    Multiarrangement,
+    PropositionReport,
+    RATIONALS,
+)
 from logvf.cli import (
     CHAIN_TOTAL_LIMIT,
+    FROBENIUS_TOTAL_LIMIT,
+    PROP_TUPLE_LIMIT,
     ParseError,
     _print_pair,
     main,
@@ -219,6 +231,17 @@ def test_parse_keeps_the_string_digit_limit(tmp_path, capsys):
     assert captured.err.startswith("error: line 2: ")
 
 
+def test_huge_exponent_coefficient_exits_fast(tmp_path, capsys):
+    path = write(tmp_path, "field Q\n1e100000000 1 1\n")
+    start = time.perf_counter()
+    assert main(["basis", path]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: ") and "1e100000000" in captured.err
+    assert main(["exponents", write(tmp_path, "field Q\n1e3 1 1\n0.25 3/2 1\n")]) == 0
+
+
 def test_trace_command(tmp_path, capsys):
     path = write(tmp_path, "field Q\n1 0 1\n0 1 1\n1 1 1\n")
     assert main(["trace", path]) == 0
@@ -305,6 +328,28 @@ def test_frobenius_command_bad_input(capsys):
     assert main(["frobenius", "2", "0", "--shifts", "9,0,0"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["2", "40"], ["2", "1" + "0" * 20], ["2", "11"], ["4099", "0"], ["2", "10", "--shifts", "1024,1024,0"]],
+)
+def test_frobenius_command_size_limit(capsys, monkeypatch, args):
+    def no_basis(*a):
+        raise AssertionError("the basis must not be built above the size limit")
+
+    monkeypatch.setattr("logvf.cli.frobenius_basis", no_basis)
+    start = time.perf_counter()
+    assert main(["frobenius", *args]) == 2
+    assert time.perf_counter() - start < 1
+    assert f"frobenius is limited to |mu| <= {FROBENIUS_TOTAL_LIMIT}" in capsys.readouterr().err
+
+
+def test_frobenius_command_accepts_the_size_limit_itself(capsys, monkeypatch):
+    monkeypatch.setattr("logvf.cli.FROBENIUS_TOTAL_LIMIT", 12)  # 2 2: |mu| = 3 * 4
+    assert main(["frobenius", "2", "2"]) == 0
+    assert main(["frobenius", "2", "2", "--shifts", "0,1,0"]) == 2
+    assert "|mu| <= 12, got 13" in capsys.readouterr().err
+
+
 def test_prop_experiment_command(tmp_path, capsys):
     out_csv = tmp_path / "rows.csv"
     code = main(["prop-experiment", "--lo", "20", "--hi", "21", "--out", str(out_csv)])
@@ -314,6 +359,29 @@ def test_prop_experiment_command(tmp_path, capsys):
     assert out_csv.exists()
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 17
+
+
+@pytest.mark.parametrize("lo, hi", [(20, 20 + round(PROP_TUPLE_LIMIT ** 0.25)), (1, 1000), (200, 200)])
+def test_prop_experiment_command_size_limit(capsys, monkeypatch, lo, hi):
+    def no_walk(*a, **k):
+        raise AssertionError("the sweep must not start above the size limit")
+
+    monkeypatch.setattr("logvf.cli.proposition_experiment", no_walk)
+    assert main(["prop-experiment", "--lo", str(lo), "--hi", str(hi)]) == 2
+    assert "prop-experiment is limited to" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, box", [([], (20, 30)), (["--lo", "20", "--hi", "23"], (20, 23))])
+def test_prop_experiment_limit_admits_the_default_box(capsys, monkeypatch, args, box):
+    boxes = []
+
+    def record(lo, hi):
+        boxes.append((lo, hi))
+        return PropositionReport(lo, hi, ())
+
+    monkeypatch.setattr("logvf.cli.proposition_experiment", record)
+    assert main(["prop-experiment", *args]) == 0
+    assert boxes == [box]
 
 
 def test_cli_usage_error_exit_code():

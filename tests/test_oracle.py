@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -145,3 +146,46 @@ def test_chain_agrees_with_oracle_on_seeded_larger_arrangements(field, max_total
     for _ in range(8):
         arr = random_arrangement(rng, field=field, max_forms=7, max_total=max_total, min_forms=3)
         assert exponents_by_oracle(arr) == exponents(arr)
+
+
+def _slope_rows(arrangement, d):
+    """The rows in the slope c = ay/ax: the u^k coefficient of h/ax, in Fractions."""
+    p = arrangement.field.characteristic
+    rows = []
+    for form, mult in arrangement.items():
+        ax, ay = form.ax.value, form.ay.value
+        c = Fraction(ay, ax) if ax else None
+        for k in range(min(mult, d + 1)):
+            row = [0] * (2 * (d + 1))
+            if not ax:
+                row[(d + 1) + (d - k)] = 1
+            for j in range(k, d + 1) if ax else ():
+                w = math.comb(j, k) * (-c) ** (j - k)
+                row[j], row[(d + 1) + j] = (w % p, w * c % p) if p else (w, w * c)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "field, extra",
+    [(RATIONALS, [(2, 1), (3, -2), (1, 2), (5, 7), (2, 3)]), (Field(7), []), (Field(101), [])],
+)
+def test_constraint_rows_are_integral_scalings_of_the_slope_rows(field, extra):
+    # row k of a form ax*x + ay*y is the slope row times ax^(d+1-k); over F_p, ax = 1
+    rng = random.Random(1729)
+    for trial in range(40):
+        arr = random_arrangement(rng, field, max_forms=5, max_total=14)
+        if extra:
+            form = LinearForm(field, *extra[trial % len(extra)])
+            if form not in arr:
+                arr = Multiarrangement(field, {**dict(arr.items()), form: rng.randint(1, 5)})
+        for d in range(arr.total + 1):
+            rows = oracle._constraint_rows(arr, d)
+            assert all(type(v) is int for row in rows for v in row)
+            scales = [
+                form.ax.value ** (d + 1 - k) if form.ax.value else 1
+                for form, mult in arr.items()
+                for k in range(min(mult, d + 1))
+            ]
+            expected = [[v * s for v in row] for row, s in zip(_slope_rows(arr, d), scales)]
+            assert rows == expected
