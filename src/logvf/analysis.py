@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
-from .basis import BasisPair, Branch, _ramp, _ramp_degrees, _run_chain, verify_basis
+from .basis import BasisPair, Branch, _line, _pair, _ramp, _ramp_degrees, _run_chain, verify_basis
 from .derivation import Derivation
 from .field import Field
 from .poly import HomogPoly
@@ -69,7 +69,7 @@ def trace_chain(arrangement: Multiarrangement):
             )
         )
 
-    pair = _run_chain(arrangement, observer)
+    pair = _pair(arrangement.field, *_run_chain(arrangement.items(), observer))
     return pair, traces
 
 
@@ -328,27 +328,28 @@ def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
     to ``hi``, descending to the next line at every multiplicity >= ``lo``.
     The first three lines make exactly the steps :func:`build_basis` makes;
     a row needs only the degrees, so the last line is ramped by
-    :func:`basis._ramp_degrees`, which builds no derivation.
+    :func:`basis._ramp_degrees`.  The walk builds no derivation object.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     field = Field(0)
     forms = [LinearForm(field, a, b) for a, b in _EXPERIMENT_COEFFS]
     order = sorted(range(len(forms)), key=lambda i: forms[i].sort_key())
+    lines = [_line(forms[i]) for i in order]
     degrees = {}
 
     def walk(theta1, theta2, prefix):
-        form = forms[order[len(prefix)]]
-        if len(prefix) == len(order) - 1:
-            for mult, pair in enumerate(_ramp_degrees(theta1, theta2, form, hi), start=1):
+        line = lines[len(prefix)]
+        if len(prefix) == len(lines) - 1:
+            for mult, pair in enumerate(_ramp_degrees(theta1, theta2, line, hi), start=1):
                 if mult >= lo:
                     degrees[prefix + (mult,)] = tuple(sorted(pair, reverse=True))
             return
-        for mult, (new1, new2, _) in enumerate(_ramp(theta1, theta2, form, hi), start=1):
+        for mult, (new1, new2, _) in enumerate(_ramp(theta1, theta2, line, hi), start=1):
             if mult >= lo:
                 walk(new1, new2, prefix + (mult,))
 
-    walk(Derivation.partial_x(field), Derivation.partial_y(field), ())
+    walk(((1,), (0,)), ((0,), (1,)), ())
     rows = []
     for mu in product(range(lo, hi + 1), repeat=4):
         d1, d2 = degrees[tuple(mu[i] for i in order)]

@@ -14,8 +14,8 @@ from itertools import accumulate, chain, islice, repeat
 from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
-from .derivation import Derivation, saito_determinant
-from .poly import HomogPoly, InexactDivisionError
+from .derivation import Derivation, apply, primitive, saito_determinant
+from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw, times_linear
 
 
 class Branch(enum.Enum):
@@ -94,53 +94,53 @@ def verify_basis(pair: BasisPair, arrangement: Multiarrangement) -> bool:
     return bool(c % p if p else c)
 
 
-def _step(theta1, theta2, form, mult, f_quot=None, g_quot=None):
+def _line(form: LinearForm):
+    """The raw ``(ax, ay, p)`` of a form: how the chain below takes a hyperplane."""
+    return form.ax.value, form.ay.value, form.field.characteristic
+
+
+def _pair(field, theta1, theta2) -> BasisPair:
+    """The BasisPair of two chain members, each an ``(f, g)`` pair of coefficient tuples."""
+    polys = [HomogPoly._raw(field, len(cs) - 1, cs) for cs in (*theta1, *theta2)]
+    return BasisPair(Derivation(*polys[:2]), Derivation(*polys[2:]))
+
+
+def _step(theta1, theta2, line, f_quot, g_quot):
     """One multiplicity-raising update; the engine behind the public operations.
 
-    Arguments satisfy: (theta1, theta2) is a basis of D(A, mu) where ker(form)
-    has multiplicity ``mult``.  Returns ``(theta1', theta2', branch, f', g')``
-    where the primed pair is a basis once that multiplicity is mult + 1.
-
-    Over Q both members must be primitive integer derivations, like every
-    member returned here: by Gauss's lemma their products with the primitive
-    form stay primitive, with the same sign, so only the generic combination
-    is reduced and every value stays an integer.
-
-    ``f_quot``/``g_quot``, when supplied, must equal theta_i(form) divided by
-    form^mult; the returned ``f'``/``g'`` are the same quotients for the
-    updated pair at multiplicity mult + 1, so a caller ramping up one
-    hyperplane can avoid recomputing them from scratch.  Every incremental
-    division below is remainder-checked, so a violated precondition surfaces
-    as InexactDivisionError rather than a wrong answer.
+    Members are ``(f, g)`` pairs of coefficient tuples of equal length and
+    ``line`` is :func:`_line` of the form.  (theta1, theta2) must be a basis
+    of D(A, mu) where the form has multiplicity mult, and ``f_quot``/``g_quot``
+    must equal theta_i(form) / form^mult.  The returned ``(theta1', theta2',
+    branch, f', g')`` holds a basis for mult + 1 and its quotients by
+    form^(mult+1), so a ramp never recomputes them.  Over Q both members must
+    be primitive integer derivations, like every member returned: by Gauss's
+    lemma their products with the primitive form stay primitive, with the
+    same sign, so only the generic combination is reduced and every value
+    stays an integer.  Every division is remainder-checked: a violated
+    precondition raises InexactDivisionError rather than giving a wrong answer.
     """
-    if theta1.degree < theta2.degree:
+    if len(theta1[0]) < len(theta2[0]):
         theta1, theta2 = theta2, theta1
         f_quot, g_quot = g_quot, f_quot
-    if g_quot is None:
-        g_quot = theta2.apply(form).div_linear_power(form, mult)
-    if f_quot is None:
-        f_quot = theta1.apply(form).div_linear_power(form, mult)
-    branch, f_quot, g_quot, num, den = _advance(f_quot, g_quot, form, theta1.degree - theta2.degree)
+    (f1, g1), (f2, g2) = theta1, theta2
+    a, b, p = line
+    branch, f_quot, g_quot, num, den = _advance(f_quot, g_quot, line, len(f1) - len(f2))
     if branch is Branch.G_VANISHING:
-        return theta1.times_linear(form), theta2, branch, f_quot, g_quot
+        return (times_linear(f1, a, b, p), times_linear(g1, a, b, p)), theta2, branch, f_quot, g_quot
+    theta2 = (times_linear(f2, a, b, p), times_linear(g2, a, b, p))
     if branch is Branch.F_VANISHING:
-        return theta1, theta2.times_linear(form), branch, f_quot, g_quot
-    py = form.point_raw()[1]
-    new1 = Derivation(
-        _plus_q_times(theta1.f, theta2.f, num, den, py),
-        _plus_q_times(theta1.g, theta2.g, num, den, py),
-    )
-    if form.field.characteristic:  # primitive() is the identity over F_p
-        return new1, theta2.times_linear(form), branch, f_quot, g_quot
-    new1, factor = new1.primitive()
-    if factor != 1:
-        # primitive() divided new1 by an integer content; f' follows exactly
-        n, m = factor.numerator, factor.denominator
-        f_quot = HomogPoly._raw(f_quot.field, f_quot.degree, tuple(c * n // m for c in f_quot.coeffs))
-    return new1, theta2.times_linear(form), branch, f_quot, g_quot
+        return theta1, theta2, branch, f_quot, g_quot
+    f1, g1 = _plus_q_times(f1, f2, num, den, a, p), _plus_q_times(g1, g2, num, den, a, p)
+    if not p:  # primitive() is the identity over F_p
+        f1, g1, k = primitive(f1, g1)
+        if k != 1:
+            # primitive() divided theta1' by an integer content; f' follows exactly
+            f_quot = tuple([c // k for c in f_quot])
+    return (f1, g1), theta2, branch, f_quot, g_quot
 
 
-def _advance(f_quot, g_quot, form, d):
+def _advance(f_quot, g_quot, line, d):
     """:func:`_step` on the quotients alone: ``(branch, f', g', num, den)``.
 
     The quotients belong to a pair whose degrees differ by ``d`` >= 0,
@@ -155,30 +155,25 @@ def _advance(f_quot, g_quot, form, d):
     bracket's exact quotient by the form to the first d coefficients.  A
     non-monic form over Q evaluates first: dividing by it can leave Z.
     """
-    px, py = form.point_raw()
-    monic = form.ax.value < 2
-    qg, g_val = g_quot._div_linear(form) if monic else (None, g_quot.eval_raw(px, py))
+    ax, ay, p = line
+    px, py = ay, -ax % p if p else -ax
+    monic = ax < 2
+    qg, g_val = div_linear(g_quot, ax, ay, p) if monic else (None, eval_raw(g_quot, px, py, p))
 
     if not g_val:
         # form^(mult+1) already divides theta2(form): multiply theta1 instead
-        g_quot = qg if monic else g_quot.div_linear_power(form, 1)
+        g_quot = qg if monic else div_linear_power(g_quot, ax, ay, p, 1)
         return Branch.G_VANISHING, f_quot, g_quot, None, None
 
-    qf, f_val = f_quot._div_linear(form) if monic else (None, f_quot.eval_raw(px, py))
+    qf, f_val = div_linear(f_quot, ax, ay, p) if monic else (None, eval_raw(f_quot, px, py, p))
 
     if not f_val:
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
-        f_quot = qf if monic else f_quot.div_linear_power(form, 1)
+        f_quot = qf if monic else div_linear_power(f_quot, ax, ay, p, 1)
         return Branch.F_VANISHING, f_quot, g_quot, None, None
 
-    # generic case: clear the obstruction with den*theta1 + q*theta2, where
-    # q = num*y^d + den*(x^d + x^(d-1)*y + ... + x*y^(d-1)), or num*x^d when
-    # the form is y, and num/den makes (den*f + q*g)(point) = 0.  q is never
-    # built: the x^k coefficient of den*B + q*h is den*(B_k + W_k) + num*h_k
-    # with the window sum W_k = h_(k-d) + ... + h_(k-1) (den*B_k + num*h_(k-d)
-    # for num*x^d), which _plus_q_times reads off prefix sums in O(deg) where
-    # a dense product costs O(deg*d)
-    p = form.field.characteristic
+    # generic case: clear the obstruction with den*theta1 + q*theta2, for the
+    # q of _plus_q_times, and num/den making (den*f + q*g)(point) = 0
     rf, rg = f_val, g_val
     if monic and py and d % 2:
         f_val = -f_val  # the values are (-1)^deg times these; only the ratio counts
@@ -197,44 +192,44 @@ def _advance(f_quot, g_quot, form, d):
         c = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // c, den // c
     if not monic:
-        f_quot = _plus_q_times(f_quot, g_quot, num, den, py).div_linear_power(form, 1)
+        f_quot = div_linear_power(_plus_q_times(f_quot, g_quot, num, den, ax, p), ax, ay, p, 1)
         return Branch.GENERIC, f_quot, g_quot, num, den
 
     # synthetic division of the bracket from x^d (each coefficient above y^d
     # is den*rg) gives den*t_j on x^j y^(d-1-j), t_(d-1) = rg and t_(j-1) =
     # rg - ay*t_j, and leaves den*(rf - ay*t_0) + num*rg, which must vanish
-    ay, t = form.ay.value, 0
+    t = 0
     if py and d:
-        cs = list(qf.coeffs)
+        cs = list(qf)
         for j in range(d - 1, -1, -1):
             t = (rg - ay * t) % p if p else rg - ay * t
             cs[j] += t
-        qf = HomogPoly._raw(qf.field, qf.degree, tuple(cs))
+        qf = tuple(cs)
     r = den * (rf - ay * t) + num * rg
     if r % p if p else r:
-        raise InexactDivisionError(f"{form} does not divide the generic combination")
-    f_quot = _plus_q_times(qf, qg, num, den, py)
+        raise InexactDivisionError(f"({ax}*x + {ay}*y) does not divide the generic combination")
+    f_quot = _plus_q_times(qf, qg, num, den, ax, p)
     return Branch.GENERIC, f_quot, g_quot, num, den
 
 
-def _plus_q_times(big, small, num, den, py):
-    """``den*big + q*small`` for the q of :func:`_advance`'s generic branch.
+def _plus_q_times(B, h, num, den, ax, p):
+    """``den*B + q*h`` on coefficient tuples, for the q of :func:`_advance`'s generic branch.
 
-    q has degree d = big.degree - small.degree and is ``num*x^d`` when ``py``
-    is 0 (the form is y), else ``num*y^d + den*(x^d + ... + x*y^(d-1))``.
-    Over F_p, den must be 1.
+    q has degree d = deg B - deg h and is ``num*x^d`` when ``ax`` is 0 (the
+    form is y), else ``num*y^d + den*(x^d + ... + x*y^(d-1))``.  Over F_p,
+    den must be 1.  q is never built: the x^k coefficient of den*B + q*h is
+    den*(B_k + W_k) + num*h_k with the window sum W_k = h_(k-d) + ... +
+    h_(k-1) (den*B_k + num*h_(k-d) for num*x^d), read off prefix sums in
+    O(deg) where a dense product costs O(deg*d).
     """
-    B, h = big.coeffs, small.coeffs
     d = len(B) - len(h)
-    p = big.field.characteristic
-    if not py:
+    if not ax:
         # q*h is num*h moved up by d powers of x
         pairs = zip(B, chain(repeat(0, d), h))
         if p:
-            out = [(b + num * c) % p for b, c in pairs]
-        else:
-            out = [den * b + num * c for b, c in pairs]
-    elif d > 1:
+            return tuple([(b + num * c) % p for b, c in pairs])
+        return tuple([den * b + num * c for b, c in pairs])
+    if d > 1:
         # W_k = s[min(k, n)] - s[max(k - d, 0)] over the prefix sums s of h
         s = list(accumulate(h, initial=0))
         n = len(h)
@@ -242,17 +237,13 @@ def _plus_q_times(big, small, num, den, py):
         lo = chain(repeat(0, d), islice(s, n))
         quads = zip(B, hi, lo, chain(h, repeat(0, d)))
         if p:
-            out = [(b + u - v + num * c) % p for b, u, v, c in quads]
-        else:
-            out = [den * (b + u - v) + num * c for b, u, v, c in quads]
-    else:
-        # W_k is h_(k-1) when d is 1 and empty when d is 0: no prefix sums
-        triples = zip(B, chain((0,), h) if d else repeat(0), chain(h, repeat(0, d)))
-        if p:
-            out = [(b + w + num * c) % p for b, w, c in triples]
-        else:
-            out = [den * (b + w) + num * c for b, w, c in triples]
-    return HomogPoly._raw(big.field, big.degree, tuple(out))
+            return tuple([(b + u - v + num * c) % p for b, u, v, c in quads])
+        return tuple([den * (b + u - v) + num * c for b, u, v, c in quads])
+    # W_k is h_(k-1) when d is 1 and empty when d is 0: no prefix sums
+    triples = zip(B, chain((0,), h) if d else repeat(0), chain(h, repeat(0, d)))
+    if p:
+        return tuple([(b + w + num * c) % p for b, w, c in triples])
+    return tuple([den * (b + w) + num * c for b, w, c in triples])
 
 
 def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
@@ -269,72 +260,69 @@ def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
         raise ValueError("form and pair live over different fields")
     if mult < 0:
         raise ValueError("multiplicity must be nonnegative")
-    theta1, theta2 = (theta.primitive()[0] for theta in pair)
-    theta1, theta2, _, _, _ = _step(theta1, theta2, form, mult)
-    return BasisPair(theta1, theta2)
+    theta1, theta2 = ((t.f.coeffs, t.g.coeffs) for t in (theta.primitive()[0] for theta in pair))
+    a, b, p = line = _line(form)
+    quotients = (div_linear_power(apply(*theta, a, b, p), a, b, p, mult) for theta in (theta1, theta2))
+    theta1, theta2, _, _, _ = _step(theta1, theta2, line, *quotients)
+    return _pair(pair.field, theta1, theta2)
 
 
-def _ramp(theta1, theta2, form, upto):
-    """Raise the multiplicity of ``ker(form)`` from 0 to ``upto``, one step at a time.
+def _ramp(theta1, theta2, line, upto):
+    """Raise the multiplicity of a hyperplane from 0 to ``upto``, one step at a time.
 
-    (theta1, theta2) must be a basis of an arrangement without ``form``.
-    Yields ``(theta1', theta2', branch)`` after each step, the k-th pair
-    being a basis once the multiplicity is k; the cached quotients of
-    :func:`_step` are carried from one step to the next.
+    (theta1, theta2) must be a basis of an arrangement without it.  Yields
+    ``(theta1', theta2', branch)``, the k-th pair a basis at multiplicity k,
+    carrying the quotients of :func:`_step` from one step to the next.
     """
-    f_quot = g_quot = None
-    for mult in range(upto):
-        theta1, theta2, branch, f_quot, g_quot = _step(
-            theta1, theta2, form, mult, f_quot, g_quot
-        )
+    f_quot, g_quot = (apply(*theta, *line) for theta in (theta1, theta2))
+    for _ in range(upto):
+        theta1, theta2, branch, f_quot, g_quot = _step(theta1, theta2, line, f_quot, g_quot)
         yield theta1, theta2, branch
 
 
-def _ramp_degrees(theta1, theta2, form, upto):
+def _ramp_degrees(theta1, theta2, line, upto):
     """The degree pairs :func:`_ramp` yields, carrying only theta_i(form) / form^mult.
 
     Over Q a generic f' is divided by its own content, not theta1's.  That
     picks another basis, but degrees move only by the g-vanishing test on
     the lower member, which the two bases share up to a scalar.
     """
-    d1, d2 = theta1.degree, theta2.degree
-    f, g = theta1.apply(form), theta2.apply(form)
+    a, b, p = line
+    d1, d2 = len(theta1[0]) - 1, len(theta2[0]) - 1
+    f, g = (apply(*theta, a, b, p) for theta in (theta1, theta2))
     for _ in range(upto):
         if d1 < d2:
             d1, d2, f, g = d2, d1, g, f
-        branch, f, g, _, _ = _advance(f, g, form, d1 - d2)
+        branch, f, g, _, _ = _advance(f, g, line, d1 - d2)
         d1, d2 = (d1 + 1, d2) if branch is Branch.G_VANISHING else (d1, d2 + 1)
-        if branch is Branch.GENERIC and not form.field.characteristic:
-            c = gcd(*f.coeffs)
+        if branch is Branch.GENERIC and not p:
+            c = gcd(*f)
             if c > 1:
-                f = HomogPoly._raw(f.field, f.degree, tuple(v // c for v in f.coeffs))
+                f = tuple([v // c for v in f])
         yield d1, d2
 
 
-def _run_chain(arrangement: Multiarrangement, observer=None):
-    """Fold :func:`_step` from (d/dx, d/dy) up to the full arrangement.
+def _run_chain(items, observer=None):
+    """Fold :func:`_step` from (d/dx, d/dy) through ``(form, mult)`` items: the two members.
 
-    Hyperplanes are consumed in canonical order, each one ramped from
-    multiplicity 0 to its target, which keeps the construction deterministic.
-    ``observer(form, mult, branch, degrees_before, degrees_after)`` is invoked
-    after every step when supplied.
+    Each hyperplane, in the order given, is ramped from multiplicity 0 to
+    its target.  ``observer(form, mult, branch, degrees_before,
+    degrees_after)`` is invoked after every step when supplied.
     """
-    field = arrangement.field
-    theta1 = Derivation.partial_x(field)
-    theta2 = Derivation.partial_y(field)
-    for form in arrangement.forms():
-        ramp = _ramp(theta1, theta2, form, arrangement.multiplicity(form))
+    theta1, theta2 = ((1,), (0,)), ((0,), (1,))
+    for form, upto in items:
+        ramp = _ramp(theta1, theta2, _line(form), upto)
         for mult, (new1, new2, branch) in enumerate(ramp):
             if observer is not None:
-                before = (theta1.degree, theta2.degree)
-                observer(form, mult, branch, before, (new1.degree, new2.degree))
+                before = (len(theta1[0]) - 1, len(theta2[0]) - 1)
+                observer(form, mult, branch, before, (len(new1[0]) - 1, len(new2[0]) - 1))
             theta1, theta2 = new1, new2
-    return BasisPair(theta1, theta2)
+    return theta1, theta2
 
 
 def build_basis(arrangement: Multiarrangement) -> BasisPair:
     """A homogeneous basis of D(A, mu), built one multiplicity at a time."""
-    return _run_chain(arrangement)
+    return _pair(arrangement.field, *_run_chain(arrangement.items()))
 
 
 def exponents(arrangement: Multiarrangement) -> tuple[int, int]:
@@ -344,8 +332,8 @@ def exponents(arrangement: Multiarrangement) -> tuple[int, int]:
     tracks only the degrees (:func:`_ramp_degrees`).
     """
     items = arrangement.items()
-    pair = _run_chain(Multiarrangement(arrangement.field, items[:-1]))
-    degrees = pair.degrees()
+    theta1, theta2 = _run_chain(items[:-1])
+    degrees = (len(theta1[0]) - 1, len(theta2[0]) - 1)
     if items:
-        *_, degrees = _ramp_degrees(pair.theta1, pair.theta2, *items[-1])
+        *_, degrees = _ramp_degrees(theta1, theta2, _line(items[-1][0]), items[-1][1])
     return tuple(sorted(degrees, reverse=True))

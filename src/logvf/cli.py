@@ -31,9 +31,12 @@ ORACLE_TOTAL_LIMIT = 16
 # ``basis`` takes 5.5 s at |mu| = 500 on the lines y, x, x + y, x - y,
 # 2x + y (15 s at 600); lines of larger height take longer at the same |mu|.
 CHAIN_TOTAL_LIMIT = 500
-# ``frobenius`` takes 5.8 s at |mu| = 4094 (p = 4093, i = 0); ``prop-experiment`` 6.5 s on [20, 34]^4.
+# ``frobenius`` takes 5.8 s at |mu| = 4094 (p = 4093, i = 0).
 FROBENIUS_TOTAL_LIMIT = 4096
 PROP_TUPLE_LIMIT = 15**4
+# ``prop-experiment`` ramps its last line hi steps of O(hi) from (hi-lo+1)^3 nodes:
+# 0.55-1.3 us per unit of (hi-lo+1)^3 * hi^2 (one shared core, Python 3.11), 2-5 s on [20, 34]^4.
+PROP_WORK_LIMIT = 5 * 10**6
 
 
 class ParseError(ValueError):
@@ -70,8 +73,7 @@ def parse_arrangement_text(text: str) -> Multiarrangement:
         if len(tokens) != 3:
             raise ParseError(line_no, "expected '<ax> <ay> <multiplicity>'")
         try:
-            ax = field.coerce(tokens[0])
-            ay = field.coerce(tokens[1])
+            form = LinearForm(field, tokens[0], tokens[1])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(line_no, str(exc)) from None
         try:
@@ -80,10 +82,6 @@ def parse_arrangement_text(text: str) -> Multiarrangement:
             raise ParseError(line_no, f"multiplicity {tokens[2]!r} is not an integer") from None
         if mult < 1:
             raise ParseError(line_no, f"multiplicity must be positive, got {mult}")
-        try:
-            form = LinearForm(field, ax, ay)
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
         if form in entries:
             raise ParseError(line_no, f"duplicate hyperplane {form}")
         entries[form] = mult
@@ -232,10 +230,14 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_prop_experiment(args) -> int:
-    count = max(args.hi - args.lo + 1, 0) ** 4
-    if count > PROP_TUPLE_LIMIT or 4 * args.hi > CHAIN_TOTAL_LIMIT:  # the largest |mu| is 4*hi
-        limits = f"{PROP_TUPLE_LIMIT} tuples and hi <= {CHAIN_TOTAL_LIMIT // 4}"
-        raise ParseError(None, f"prop-experiment is limited to {limits}, got {count} tuples, hi = {args.hi}")
+    width = max(args.hi - args.lo + 1, 0)
+    count, work = width**4, width**3 * args.hi**2
+    if count > PROP_TUPLE_LIMIT or 4 * args.hi > CHAIN_TOTAL_LIMIT or work > PROP_WORK_LIMIT:  # |mu| <= 4*hi
+        raise ParseError(
+            None,
+            f"prop-experiment is limited to {PROP_TUPLE_LIMIT} tuples, hi <= {CHAIN_TOTAL_LIMIT // 4} and work "
+            f"(hi-lo+1)^3 * hi^2 <= {PROP_WORK_LIMIT}, got {count} tuples, hi = {args.hi}, work {work}",
+        )
     report = proposition_experiment(lo=args.lo, hi=args.hi)
     print(report.summary())
     if args.out:

@@ -14,7 +14,28 @@ from fractions import Fraction
 
 from .arrangement import LinearForm, Multiarrangement
 from .field import Field, _shrink
-from .poly import HomogPoly, InexactDivisionError
+from .poly import HomogPoly, _collapse, div_linear
+
+
+def apply(f, g, a, b, p):
+    """The coefficient tuple of ``theta(alpha) = a*f + b*g`` for alpha = a*x + b*y."""
+    if p:
+        return tuple([(a * s + b * t) % p for s, t in zip(f, g)])
+    return _collapse(tuple([a * s + b * t for s, t in zip(f, g)]))
+
+
+def primitive(f, g):
+    """Integer coefficient tuples divided by their signed content: ``(f', g', k)``.
+
+    The sign makes the trailing nonzero coefficient (the highest power of x
+    in g, falling back to f) positive, and ``f == k * f'``.
+    """
+    k = math.gcd(*f, *g)
+    if (next(filter(None, reversed(g)), 0) or next(filter(None, reversed(f)))) < 0:
+        k = -k
+    if k == 1:
+        return f, g, 1
+    return tuple([c // k for c in f]), tuple([c // k for c in g]), k
 
 
 class Derivation:
@@ -67,18 +88,26 @@ class Derivation:
         """The polynomial ``theta(alpha) = ax*f + ay*g`` for a linear form alpha."""
         if form.field != self.field:
             raise ValueError("form belongs to a different field")
-        return self.f.scale(form.ax.value) + self.g.scale(form.ay.value)
+        h = apply(self.f.coeffs, self.g.coeffs, form.ax.value, form.ay.value, self.field.characteristic)
+        return HomogPoly._raw(self.field, self.degree, h)
 
     def is_member(self, arrangement: Multiarrangement) -> bool:
-        """Whether this derivation lies in D(A, mu) for the given arrangement."""
+        """Whether this derivation lies in D(A, mu) for the given arrangement.
+
+        A zero theta(alpha) is divisible by every power of alpha; a nonzero one
+        of degree D leaves a remainder within D + 1 divisions, whatever mu is.
+        """
         if arrangement.field != self.field:
             raise ValueError("arrangement lives over a different field")
+        f, g, p = self.f.coeffs, self.g.coeffs, self.field.characteristic
         for form, mult in arrangement.items():
-            h = self.apply(form)
-            for _ in range(mult):
-                h, r = h._div_linear(form)
-                if r:
-                    return False
+            a, b = form.ax.value, form.ay.value
+            h = apply(f, g, a, b, p)
+            if any(h):
+                for _ in range(mult):
+                    h, r = div_linear(h, a, b, p)
+                    if r:
+                        return False
         return True
 
     def times_linear(self, form: LinearForm) -> "Derivation":
@@ -88,46 +117,30 @@ class Derivation:
         return Derivation(self.f.scale(c), self.g.scale(c))
 
     def plus_scaled(self, q: HomogPoly, other: "Derivation") -> "Derivation":
-        """The derivation ``self + q * other``; degrees must line up exactly."""
-        if q.field != self.field or other.field != self.field:
-            raise ValueError("operands belong to different fields")
+        """The derivation ``self + q * other``; degrees must line up exactly.
+
+        Mixed fields or a zero result raise ValueError in the operations below.
+        """
         if self.degree != q.degree + other.degree:
-            raise ValueError(
-                f"degree mismatch: {self.degree} != {q.degree} + {other.degree}"
-            )
-        nf = self.f + q * other.f
-        ng = self.g + q * other.g
-        if nf.is_zero() and ng.is_zero():
-            raise ValueError("the combination is the zero derivation")
-        return Derivation(nf, ng)
+            raise ValueError(f"degree mismatch: {self.degree} != {q.degree} + {other.degree}")
+        return Derivation(self.f + q * other.f, self.g + q * other.g)
 
     def primitive(self):
-        """Rescale over Q so all coefficients are coprime integers.
+        """Rescale over Q to coprime integers, signed as :func:`primitive` does.
 
-        The sign is fixed by making the trailing nonzero coefficient (the
-        highest power of x in g, falling back to f) positive.  Returns
-        ``(reduced, factor)`` with ``reduced == factor * self``; the factor is
-        a raw rational scalar.  Over a finite field this is the identity with
-        factor 1.
+        Returns ``(reduced, factor)`` with ``reduced == factor * self`` and a
+        raw rational factor; over a finite field, ``(self, 1)``.
         """
         if self.field.characteristic:
             return self, 1
         f, g = self.f.coeffs, self.g.coeffs
-        try:
-            k, lcm_den = math.gcd(*f, *g), 1
-        except TypeError:  # Fraction coefficients: clear denominators first
-            lcm_den = math.lcm(*(c.denominator for c in f + g))
-            f = tuple(c.numerator * (lcm_den // c.denominator) for c in f)
-            g = tuple(c.numerator * (lcm_den // c.denominator) for c in g)
-            k = math.gcd(*f, *g)
-        if next(c for c in reversed(f + g) if c) < 0:
-            k = -k
-        if lcm_den == 1 and k == 1:
+        den = math.lcm(*(c.denominator for c in f + g))  # Fractions: clear denominators first
+        f, g = (tuple(c.numerator * (den // c.denominator) for c in cs) for cs in (f, g))
+        f, g, k = primitive(f, g)
+        if den == 1 and k == 1:
             return self, 1
-        reduced = Derivation.__new__(Derivation)
-        reduced.f = HomogPoly._raw(self.field, self.f.degree, tuple(c // k for c in f))
-        reduced.g = HomogPoly._raw(self.field, self.g.degree, tuple(c // k for c in g))
-        return reduced, _shrink(Fraction(lcm_den, k))
+        reduced = (HomogPoly._raw(self.field, self.degree, cs) for cs in (f, g))
+        return Derivation(*reduced), _shrink(Fraction(den, k))
 
     # ------------------------------------------------------------------
 

@@ -10,6 +10,10 @@ normalized form.  Over F_p that form has leading coefficient one, so no scalar
 is divided at all; over Q it is a primitive integer pair, and by Gauss's lemma
 an integer polynomial it divides has an integer quotient, found by exact
 integer division by the leading coefficient.
+
+Each kernel is one function on a coefficient tuple ``cs``, a form a*x + b*y
+and the characteristic ``p`` (0 for Q).  The basis chain calls the kernels
+directly; the :class:`HomogPoly` methods wrap them for callers with objects.
 """
 
 from __future__ import annotations
@@ -27,6 +31,69 @@ class InexactDivisionError(ArithmeticError):
 def _collapse(coeffs):
     """Integral Fractions as plain ints; a tuple without Fractions as is."""
     return tuple(map(_shrink, coeffs)) if Fraction in map(type, coeffs) else coeffs
+
+
+def times_linear(cs, a, b, p):
+    """Multiply by the form: the x^k coefficient is b*c_k + a*c_(k-1)."""
+    if not a:  # y: x^j y^(d-j) becomes x^j y^(d+1-j)
+        return cs + (0,)
+    if not b:  # x: x^j y^(d-j) becomes x^(j+1) y^(d-j)
+        return (0,) + cs
+    pairs = zip(cs + (0,), (0,) + cs)
+    if p:
+        return tuple([(b * s + a * t) % p for s, t in pairs])
+    return tuple([b * s + a * t for s, t in pairs])
+
+
+def eval_raw(cs, x, y, p):
+    """The value at the raw point (x, y), by Horner's rule in x."""
+    r, yp = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        yp = yp * y % p if p else yp * y
+        r = (r * x + c * yp) % p if p else r * x + c * yp
+    return r
+
+
+def div_linear(cs, a, b, p):
+    """One synthetic division by the form: ``(quotient, remainder scalar)``.
+
+    The remainder of degree d is r*y^d (r*x^d for the form y); a constant
+    has the zero constant as quotient.
+    """
+    d = len(cs) - 1
+    if not d:
+        return (0,), cs[0]
+    if not a:  # y: x^j y^(d-j) = y * (x^j y^(d-1-j)) for j < d
+        return cs[:d], cs[d]
+    if not b:  # x: x^j y^(d-j) = x * (x^(j-1) y^(d-j)) for j > 0
+        return cs[1:], cs[0]
+    # peel (a*x + b*y) off from the top; a == 1 over F_p
+    q = [0] * d
+    t = cs[d]
+    if p:
+        for j in range(d - 1, -1, -1):
+            q[j] = t
+            t = (cs[j] - b * t) % p
+    elif a == 1:
+        for j in range(d - 1, -1, -1):
+            q[j] = t
+            t = cs[j] - b * t
+    else:
+        # exact integer division when the form divides an integer
+        # polynomial (Gauss's lemma); anything else falls back to Fractions
+        for j in range(d - 1, -1, -1):
+            t = q[j] = t // a if not t % a else Fraction(t, a)
+            t = cs[j] - b * t
+    return tuple(q), t
+
+
+def div_linear_power(cs, a, b, p, power):
+    """Divide exactly by the form's ``power``-th power, or raise InexactDivisionError."""
+    for _ in range(power):
+        cs, r = div_linear(cs, a, b, p)
+        if r:
+            raise InexactDivisionError(f"({a}*x + {b}*y)^{power} leaves a remainder")
+    return cs
 
 
 class HomogPoly:
@@ -68,9 +135,8 @@ class HomogPoly:
         """The monomial ``coefficient * x^x_power * y^(degree - x_power)``."""
         if not 0 <= x_power <= degree:
             raise ValueError(f"x power {x_power} outside 0..{degree}")
-        c = field.coerce(coefficient)
         coeffs = [0] * (degree + 1)
-        coeffs[x_power] = c
+        coeffs[x_power] = field.coerce(coefficient)
         return cls._raw(field, degree, tuple(coeffs))
 
     # ------------------------------------------------------------------
@@ -120,12 +186,7 @@ class HomogPoly:
         return HomogPoly._raw(self.field, self.degree, coeffs)
 
     def __neg__(self):
-        p = self.field.characteristic
-        if p:
-            coeffs = tuple((-a) % p for a in self.coeffs)
-        else:
-            coeffs = tuple(-a for a in self.coeffs)
-        return HomogPoly._raw(self.field, self.degree, coeffs)
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, HomogPoly):
@@ -148,9 +209,6 @@ class HomogPoly:
             return HomogPoly._raw(self.field, self.degree + other.degree, out)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
-
     def scale(self, c) -> "HomogPoly":
         """Multiply every coefficient by the scalar ``c``."""
         raw = self.field.coerce(c)
@@ -165,23 +223,13 @@ class HomogPoly:
             coeffs = _collapse(tuple(a * raw for a in self.coeffs))
         return HomogPoly._raw(self.field, self.degree, coeffs)
 
+    __rmul__ = scale
+
     def times_linear(self, form: LinearForm) -> "HomogPoly":
-        """Multiply by a linear form: the x^k coefficient is ay*h_k + ax*h_(k-1)."""
+        """Multiply by a linear form (see :func:`times_linear`)."""
         if form.field != self.field:
             raise ValueError("form belongs to a different field")
-        a, b = form.ax.value, form.ay.value
-        src = self.coeffs
-        if not a:  # y: x^j y^(d-j) becomes x^j y^(d+1-j)
-            out = src + (0,)
-        elif not b:  # x: x^j y^(d-j) becomes x^(j+1) y^(d-j)
-            out = (0,) + src
-        else:
-            p = self.field.characteristic
-            pairs = zip(src + (0,), (0,) + src)
-            if p:
-                out = tuple((b * s + a * t) % p for s, t in pairs)
-            else:
-                out = tuple(b * s + a * t for s, t in pairs)
+        out = times_linear(self.coeffs, form.ax.value, form.ay.value, self.field.characteristic)
         return HomogPoly._raw(self.field, self.degree + 1, out)
 
     # ------------------------------------------------------------------
@@ -190,75 +238,21 @@ class HomogPoly:
 
     def eval_raw(self, a, b):
         """Evaluate at the raw point (a, b); returns a raw scalar."""
-        cs = self.coeffs
-        r = cs[-1]
-        p = self.field.characteristic
-        bp = 1
-        if p:
-            for j in range(self.degree - 1, -1, -1):
-                bp = bp * b % p
-                r = (r * a + cs[j] * bp) % p
-        else:
-            for j in range(self.degree - 1, -1, -1):
-                bp = bp * b
-                r = r * a + cs[j] * bp
-        return r
+        return eval_raw(self.coeffs, a, b, self.field.characteristic)
 
     def _div_linear(self, form: LinearForm):
-        """One synthetic division step: returns (quotient, raw remainder scalar).
-
-        The remainder of dividing a homogeneous polynomial of degree d by a
-        linear form is a single monomial; only its scalar is returned.
-        """
-        d = self.degree
-        if self.is_zero():
-            return HomogPoly.zero(self.field, max(d - 1, 0)), 0
-        if d == 0:
-            return HomogPoly.zero(self.field, 0), self.coeffs[0]
-        cs = self.coeffs
-        a, b = form.ax.value, form.ay.value
-        p = self.field.characteristic
-        if not a:
-            # form is y: x^j y^(d-j) = y * (x^j y^(d-1-j)) for j < d
-            return HomogPoly._raw(self.field, d - 1, cs[:d]), cs[d]
-        if not b:
-            # form is x: x^j y^(d-j) = x * (x^(j-1) y^(d-j)) for j > 0
-            return HomogPoly._raw(self.field, d - 1, cs[1:]), cs[0]
-        # peel (a*x + b*y) off from the top; a == 1 over F_p
-        q = [0] * d
-        t = cs[d]
-        if p:
-            for j in range(d - 1, -1, -1):
-                q[j] = t
-                t = (cs[j] - b * t) % p
-        elif a == 1:
-            for j in range(d - 1, -1, -1):
-                q[j] = t
-                t = cs[j] - b * t
-        else:
-            # exact integer division when the form divides an integer
-            # polynomial (Gauss's lemma); anything else falls back to Fractions
-            for j in range(d - 1, -1, -1):
-                t = q[j] = t // a if not t % a else Fraction(t, a)
-                t = cs[j] - b * t
-        return HomogPoly._raw(self.field, d - 1, tuple(q)), t
+        """One synthetic division step: returns (quotient, raw remainder scalar)."""
+        q, r = div_linear(self.coeffs, form.ax.value, form.ay.value, self.field.characteristic)
+        return HomogPoly._raw(self.field, len(q) - 1, q), r
 
     def div_linear_power(self, form: LinearForm, power: int) -> "HomogPoly":
-        """Divide exactly by ``form ** power``.
-
-        Raises :class:`InexactDivisionError` if any of the ``power`` successive
-        synthetic divisions leaves a remainder.
-        """
+        """Divide exactly by ``form ** power``; a remainder raises InexactDivisionError."""
         if form.field != self.field:
             raise ValueError("form belongs to a different field")
         if power < 0:
             raise ValueError("power must be nonnegative")
-        q = self
-        for _ in range(power):
-            q, r = q._div_linear(form)
-            if r:
-                raise InexactDivisionError(f"({form})^{power} does not divide {self}")
-        return q
+        q = div_linear_power(self.coeffs, form.ax.value, form.ay.value, self.field.characteristic, power)
+        return HomogPoly._raw(self.field, len(q) - 1, q)
 
     # ------------------------------------------------------------------
     # rendering and round-trip text form

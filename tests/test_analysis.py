@@ -328,6 +328,17 @@ def test_experiment_builds_no_derivation_on_the_last_line(monkeypatch, lo, hi, s
     assert len(calls) == (1 + w + w * w) * hi == steps
 
 
+def test_experiment_walk_builds_no_polynomial_or_derivation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a HomogPoly or a Derivation")
+
+    monkeypatch.setattr(HomogPoly, "__init__", refuse)
+    monkeypatch.setattr(HomogPoly, "_raw", refuse)
+    monkeypatch.setattr(Derivation, "__init__", refuse)
+    report = proposition_experiment(lo=3, hi=5)
+    assert report.tuple_count == 81
+
+
 def test_experiment_rejects_bad_arguments():
     with pytest.raises(ValueError):
         proposition_experiment(lo=0, hi=3)

@@ -24,7 +24,9 @@ from logvf import (
     verify_basis,
 )
 from logvf import basis
-from logvf.basis import _plus_q_times, _ramp, _ramp_degrees, _step
+from logvf.basis import _line, _pair, _plus_q_times, _ramp, _ramp_degrees, _step
+from logvf.derivation import apply
+from logvf.poly import div_linear_power, eval_raw
 
 from conftest import sample_arrangements
 
@@ -37,6 +39,19 @@ def y_dy(field=RATIONALS):
     return Derivation(HomogPoly.zero(field, 1), HomogPoly.monomial(field, 1, 0))
 
 
+def member(theta):
+    """A derivation as the chain carries it: its pair of coefficient tuples."""
+    return theta.f.coeffs, theta.g.coeffs
+
+
+def step(theta1, theta2, form, mult):
+    """:func:`_step` with its quotients theta_i(form) / form^mult computed here."""
+    a, b, p = line = _line(form)
+    quotients = (div_linear_power(apply(f, g, a, b, p), a, b, p, mult) for f, g in (theta1, theta2))
+    return _step(theta1, theta2, line, *quotients)
+
+
+DX, DY = ((1,), (0,)), ((0,), (1,))
 X = LinearForm(RATIONALS, 1, 0)
 Y = LinearForm(RATIONALS, 0, 1)
 XY = LinearForm(RATIONALS, 1, 1)
@@ -72,12 +87,11 @@ def test_update_first_steps():
 
 
 def test_update_branches_reported():
-    dx, dy = Derivation.partial_x(RATIONALS), Derivation.partial_y(RATIONALS)
-    _, _, branch, _, _ = _step(dx, dy, X, 0)
+    _, _, branch, _, _ = step(DX, DY, X, 0)
     assert branch is Branch.G_VANISHING  # theta2(x) = 0
-    t1, t2, branch, _, _ = _step(x_dx(), dy, Y, 0)
+    t1, t2, branch, _, _ = step(member(x_dx()), DY, Y, 0)
     assert branch is Branch.F_VANISHING  # theta1(y) = 0, theta2(y) = 1
-    assert (t1, t2) == (x_dx(), y_dy())
+    assert (t1, t2) == (member(x_dx()), member(y_dy()))
 
 
 def test_update_generic_branch_constant_q():
@@ -187,19 +201,17 @@ def test_step_quotients_stay_integral_over_q():
     # ramp integer lines, non-monic ones included, through _step with the
     # cached quotients threaded along, as the chain does
     forms = [LinearForm(RATIONALS, a, b) for a, b in [(0, 1), (3, -2), (1, 1), (2, 1)]]
-    theta1, theta2 = Derivation.partial_x(RATIONALS), Derivation.partial_y(RATIONALS)
+    theta1, theta2 = DX, DY
     branches = set()
     for form in forms:
-        f_quot = g_quot = None
-        for mult in range(5):
-            theta1, theta2, branch, f_quot, g_quot = _step(
-                theta1, theta2, form, mult, f_quot, g_quot
-            )
+        f_quot, g_quot = (apply(*theta, *_line(form)) for theta in (theta1, theta2))
+        for _ in range(5):
+            theta1, theta2, branch, f_quot, g_quot = _step(theta1, theta2, _line(form), f_quot, g_quot)
             branches.add(branch)
             for quot in (f_quot, g_quot):
-                assert all(type(c) is int for c in quot.coeffs)
-            for theta in (theta1, theta2):
-                assert all(type(c) is int for c in theta.f.coeffs + theta.g.coeffs)
+                assert all(type(c) is int for c in quot)
+            for f, g in (theta1, theta2):
+                assert all(type(c) is int for c in f + g)
     assert branches == set(Branch)
 
 
@@ -240,20 +252,20 @@ FIELDS_FOR_KERNEL = [RATIONALS, Field(7), Field(2**31 - 1)]
     big_seed=st.lists(st.integers(-50, 50), min_size=21, max_size=21),
     num=st.integers(-10**6, 10**6),
     den=st.integers(1, 10**6),
-    py=st.sampled_from([0, 1, 3]),
+    ax=st.sampled_from([0, 1, 3]),  # 0: the form is y
 )
-def test_window_sum_combination_matches_dense_product(field, d, small, big_seed, num, den, py):
+def test_window_sum_combination_matches_dense_product(field, d, small, big_seed, num, den, ax):
     # den*big + q*small with q built densely and multiplied by HomogPoly.__mul__
     p = field.characteristic
     if p:
         num, den = num % p, 1
     small = HomogPoly(field, small)
     big = HomogPoly(field, big_seed[: small.degree + d + 1])
-    q_coeffs = (num,) + (den,) * d if py else (0,) * d + (num,)
+    q_coeffs = (num,) + (den,) * d if ax else (0,) * d + (num,)
     reference = big.scale(den) + HomogPoly._raw(field, d, q_coeffs) * small
-    out = _plus_q_times(big, small, num, den, py)
-    assert out.degree == big.degree
-    assert out.coeffs == reference.coeffs
+    out = _plus_q_times(big.coeffs, small.coeffs, num, den, ax, p)
+    assert len(out) == big.degree + 1
+    assert out == reference.coeffs
 
 
 def _generic_reference(theta1, theta2, form, mult):
@@ -285,16 +297,16 @@ def test_generic_step_equals_dense_combination():
     ]
     generic = 0
     for field, lines in cases:
-        theta1, theta2 = Derivation.partial_x(field), Derivation.partial_y(field)
+        theta1, theta2 = DX, DY
         for ax, ay, mult in lines:
             form = LinearForm(field, ax, ay)
             for m in range(mult):
-                if theta1.degree < theta2.degree:
+                if len(theta1[0]) < len(theta2[0]):
                     theta1, theta2 = theta2, theta1
-                new1, new2, branch, _, _ = _step(theta1, theta2, form, m)
+                new1, new2, branch, _, _ = step(theta1, theta2, form, m)
                 if branch is Branch.GENERIC:
                     generic += 1
-                    assert new1 == _generic_reference(theta1, theta2, form, m)
+                    assert new1 == member(_generic_reference(*_pair(field, theta1, theta2), form, m))
                 theta1, theta2 = new1, new2
     assert generic >= 20
 
@@ -337,9 +349,9 @@ def ramp_cases(seed, count, fields=RAMP_FIELDS, max_lines=4):
 
 def test_degree_ramp_matches_full_ramp():
     for arrangement, form, upto in ramp_cases(seed=5, count=32):
-        theta1, theta2 = build_basis(arrangement)
-        full = [(t1.degree, t2.degree) for t1, t2, _ in _ramp(theta1, theta2, form, upto)]
-        assert list(_ramp_degrees(theta1, theta2, form, upto)) == full, (arrangement, form)
+        theta1, theta2 = map(member, build_basis(arrangement))
+        full = [(len(t1[0]) - 1, len(t2[0]) - 1) for t1, t2, _ in _ramp(theta1, theta2, _line(form), upto)]
+        assert list(_ramp_degrees(theta1, theta2, _line(form), upto)) == full, (arrangement, form)
 
 
 def test_degree_ramp_quotients_stay_as_small_as_the_full_ramps(monkeypatch):
@@ -351,18 +363,18 @@ def test_degree_ramp_quotients_stay_as_small_as_the_full_ramps(monkeypatch):
     bits = []
     advance = basis._advance
 
-    def spy(f_quot, g_quot, form, d):
-        bits.append(max(abs(c).bit_length() for c in f_quot.coeffs + g_quot.coeffs))
-        return advance(f_quot, g_quot, form, d)
+    def spy(f_quot, g_quot, line, d):
+        bits.append(max(abs(c).bit_length() for c in f_quot + g_quot))
+        return advance(f_quot, g_quot, line, d)
 
     monkeypatch.setattr(basis, "_advance", spy)
     for arrangement, form, _ in ramp_cases(seed=3, count=8, fields=[RATIONALS]):
-        theta1, theta2 = build_basis(arrangement)
+        theta1, theta2 = map(member, build_basis(arrangement))
         bits.clear()
-        list(_ramp(theta1, theta2, form, 40))
+        list(_ramp(theta1, theta2, _line(form), 40))
         full = max(bits)
         bits.clear()
-        list(_ramp_degrees(theta1, theta2, form, 40))
+        list(_ramp_degrees(theta1, theta2, _line(form), 40))
         assert max(bits) <= full + 8, (arrangement, form)
 
 
@@ -382,20 +394,20 @@ def test_exponents_equal_basis_degrees():
 # ----------------------------------------------------------------------
 
 
-def _advance_by_evaluation(f_quot, g_quot, form, d):
+def _advance_by_evaluation(f_quot, g_quot, line, d):
     """The step on quotients as it was before it branched on remainders.
 
     Evaluate at the kernel point, divide on a vanishing branch, and divide
     the whole generic combination again: the reference for basis._advance.
     """
-    px, py = form.point_raw()
-    g_val = g_quot.eval_raw(px, py)
+    ax, ay, p = line
+    px, py = ay, -ax % p if p else -ax
+    g_val = eval_raw(g_quot, px, py, p)
     if not g_val:
-        return Branch.G_VANISHING, f_quot, g_quot.div_linear_power(form, 1), None, None
-    f_val = f_quot.eval_raw(px, py)
+        return Branch.G_VANISHING, f_quot, div_linear_power(g_quot, ax, ay, p, 1), None, None
+    f_val = eval_raw(f_quot, px, py, p)
     if not f_val:
-        return Branch.F_VANISHING, f_quot.div_linear_power(form, 1), g_quot, None, None
-    p = form.field.characteristic
+        return Branch.F_VANISHING, div_linear_power(f_quot, ax, ay, p, 1), g_quot, None, None
     if py:
         tail, power = 0, 1
         for _ in range(d):
@@ -409,7 +421,7 @@ def _advance_by_evaluation(f_quot, g_quot, form, d):
     else:
         c = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
         num, den = num // c, den // c
-    f_quot = _plus_q_times(f_quot, g_quot, num, den, py).div_linear_power(form, 1)
+    f_quot = div_linear_power(_plus_q_times(f_quot, g_quot, num, den, ax, p), ax, ay, p, 1)
     return Branch.GENERIC, f_quot, g_quot, num, den
 
 
@@ -444,12 +456,11 @@ def advance_inputs(monkeypatch, field, seed, count):
 @pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)
 def test_advance_matches_evaluate_then_divide(monkeypatch, field):
     covered = set()
-    for f_quot, g_quot, form, d in advance_inputs(monkeypatch, field, seed=17, count=12):
-        new = basis._advance(f_quot, g_quot, form, d)
-        old = _advance_by_evaluation(f_quot, g_quot, form, d)
-        assert new[0] is old[0] and new[3:] == old[3:], (form, d)
-        for a, b in zip(new[1:3], old[1:3]):
-            assert (a.degree, a.coeffs) == (b.degree, b.coeffs), (form, d)
+    for f_quot, g_quot, line, d in advance_inputs(monkeypatch, field, seed=17, count=12):
+        new = basis._advance(f_quot, g_quot, line, d)
+        old = _advance_by_evaluation(f_quot, g_quot, line, d)
+        assert new[0] is old[0] and new[3:] == old[3:], (line, d)
+        assert new[1:3] == old[1:3], (line, d)
         covered.add((new[0], d if new[0] is Branch.GENERIC else None))
     assert {branch for branch, _ in covered} == set(Branch)
     assert {d for _, d in covered} >= set(range(13))
@@ -457,10 +468,11 @@ def test_advance_matches_evaluate_then_divide(monkeypatch, field):
 
 @pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)
 def test_monic_chains_never_evaluate(monkeypatch, field):
-    def refuse(self, a, b):
+    def refuse(*args):
         raise AssertionError("eval_raw called on a monic form")
 
     monkeypatch.setattr(HomogPoly, "eval_raw", refuse)
+    monkeypatch.setattr(basis, "eval_raw", refuse)
     rng = random.Random(23)
     monic = [f for f in small_forms(field) if f.ax.value < 2]
     for _ in range(6):
@@ -472,13 +484,12 @@ def test_monic_chains_never_evaluate(monkeypatch, field):
 
 def test_only_non_monic_steps_evaluate(monkeypatch):
     points = []
-    evaluate = HomogPoly.eval_raw
 
-    def record(self, a, b):
-        points.append((a, b))
-        return evaluate(self, a, b)
+    def record(cs, x, y, p):
+        points.append((x, y))
+        return eval_raw(cs, x, y, p)
 
-    monkeypatch.setattr(HomogPoly, "eval_raw", record)
+    monkeypatch.setattr(basis, "eval_raw", record)
     arrangement = Multiarrangement(
         RATIONALS, {Y: 3, X: 4, XY: 5, LinearForm(RATIONALS, 1, -2): 2, NON_MONIC[0]: 6}
     )

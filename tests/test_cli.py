@@ -19,6 +19,7 @@ from logvf.cli import (
     CHAIN_TOTAL_LIMIT,
     FROBENIUS_TOTAL_LIMIT,
     PROP_TUPLE_LIMIT,
+    PROP_WORK_LIMIT,
     ParseError,
     _print_pair,
     main,
@@ -361,7 +362,9 @@ def test_prop_experiment_command(tmp_path, capsys):
     assert len(lines) == 17
 
 
-@pytest.mark.parametrize("lo, hi", [(20, 20 + round(PROP_TUPLE_LIMIT ** 0.25)), (1, 1000), (200, 200)])
+@pytest.mark.parametrize(
+    "lo, hi", [(20, 20 + round(PROP_TUPLE_LIMIT ** 0.25)), (1, 1000), (200, 200), (111, 125), (60, 74)]
+)
 def test_prop_experiment_command_size_limit(capsys, monkeypatch, lo, hi):
     def no_walk(*a, **k):
         raise AssertionError("the sweep must not start above the size limit")
@@ -371,7 +374,10 @@ def test_prop_experiment_command_size_limit(capsys, monkeypatch, lo, hi):
     assert "prop-experiment is limited to" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("args, box", [([], (20, 30)), (["--lo", "20", "--hi", "23"], (20, 23))])
+@pytest.mark.parametrize(
+    "args, box",
+    [([], (20, 30)), (["--lo", "20", "--hi", "23"], (20, 23)), (["--lo", "20", "--hi", "34"], (20, 34))],
+)
 def test_prop_experiment_limit_admits_the_default_box(capsys, monkeypatch, args, box):
     boxes = []
 
@@ -382,6 +388,28 @@ def test_prop_experiment_limit_admits_the_default_box(capsys, monkeypatch, args,
     monkeypatch.setattr("logvf.cli.proposition_experiment", record)
     assert main(["prop-experiment", *args]) == 0
     assert boxes == [box]
+
+
+def test_prop_experiment_work_bound_names_itself_and_exits_fast(capsys):
+    # [111, 125]^4 is inside the tuple and |mu| limits but would run for minutes
+    start = time.perf_counter()
+    assert main(["prop-experiment", "--lo", "111", "--hi", "125"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"(hi-lo+1)^3 * hi^2 <= {PROP_WORK_LIMIT}" in err and "work 52734375" in err
+
+
+def test_verify_command_zero_value_does_not_loop_over_the_multiplicity(tmp_path, capsys):
+    # theta1 = y dy vanishes on x, so x^m divides theta1(x) for every m
+    args = ["--theta1", "1:0,0;1:1,0", "--theta2", "0:1;0:0"]
+    outputs = []
+    for mult, limit in [(3, None), (10**12, 1.0)]:
+        path = write(tmp_path, f"field Q\n1 0 {mult}\n")
+        start = time.perf_counter()
+        assert main(["verify", path, *args]) == 1
+        assert limit is None or time.perf_counter() - start < limit
+        outputs.append(capsys.readouterr().out.splitlines()[:2])
+    assert outputs[0] == outputs[1] == ["theta1 in D(A, mu): true", "theta2 in D(A, mu): false"]
 
 
 def test_cli_usage_error_exit_code():

@@ -1,0 +1,89 @@
+"""Golden differential test: bases, traces, exponents and the sweep CSV, byte for byte.
+
+The SHA-256 digests below were computed by the object-level chain, before
+it ran on plain coefficient tuples.  Each field gets seeded arrangements up
+to |mu| = 160 (over Q the non-monic lines 2x + y and 3x - 2y are always
+present), so any change in a basis, a trace line or an exponent pair, at
+sizes far past the oracle's |mu| <= 12, shows up as a changed digest.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from logvf import (
+    Field,
+    LinearForm,
+    Multiarrangement,
+    build_basis,
+    exponents,
+    proposition_experiment,
+    trace_chain,
+    verify_basis,
+)
+
+TOTALS = (3, 8, 12, 17, 29, 40, 64, 80, 120, 160)
+NON_MONIC = ((2, 1), (3, -2))
+
+GOLDEN = {
+    "Q": "a14b053d38b6b05742166e510d8f87e862bac0b6b5b63d2021a657000007b47a",
+    "F_2147483647": "790f740a218384da15481897132bea4862da2ab559e345a303d9bbbfb8200a6a",
+    "F_101": "be8fec71d88464da11c859aa445c24f5190ecb8d7da81c8a906076ff0c6c1173",
+    "F_7": "9f3628710a8ac99465b9c685f12412bc2b5011084995791d719a3e78a068c457",
+}
+SWEEP_20_23 = "e30d332bf2e7a0e5a0b9b5aeb4aa626e8273a2ba0f93dae9554790317e57c211"
+
+
+def golden_arrangements(field, seed=1):
+    """One seeded arrangement per total in TOTALS, two to six lines each."""
+    rng = random.Random(seed)
+    pool = sorted(
+        {LinearForm(field, a, b) for a in range(-3, 4) for b in range(-3, 4) if a or b},
+        key=LinearForm.sort_key,
+    )
+    for total in TOTALS:
+        forms = rng.sample(pool, rng.randint(2, min(6, total)))
+        if not field.characteristic:
+            forms = list(dict.fromkeys([LinearForm(field, *c) for c in NON_MONIC] + forms))
+        mult = {form: 1 for form in forms[:total]}
+        for _ in range(total - len(mult)):
+            mult[rng.choice(list(mult))] += 1
+        yield Multiarrangement(field, mult)
+
+
+def golden_text(field):
+    """Every arrangement's basis, trace lines and exponents, one item per line."""
+    lines = []
+    for arrangement in golden_arrangements(field):
+        pair = build_basis(arrangement)
+        traced, traces = trace_chain(arrangement)
+        lines.append(repr(arrangement))
+        lines.extend(theta.to_text() for theta in pair)
+        lines.extend(theta.to_text() for theta in traced)
+        lines.extend(str(t) for t in traces)
+        lines.append(str(exponents(arrangement)))
+    return "\n".join(lines) + "\n"
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("p", [0, 2**31 - 1, 101, 7], ids=lambda p: str(Field(p)))
+def test_chain_outputs_are_unchanged(p):
+    field = Field(p)
+    assert digest(golden_text(field)) == GOLDEN[str(field)]
+
+
+@pytest.mark.parametrize("p", [0, 7])
+def test_golden_bases_verify(p):
+    # the pinned bases are bases: the digests do not freeze a wrong answer
+    for arrangement in golden_arrangements(Field(p)):
+        assert verify_basis(build_basis(arrangement), arrangement), arrangement
+
+
+def test_sweep_csv_is_unchanged(tmp_path):
+    out = tmp_path / "report.csv"
+    proposition_experiment(20, 23).write_csv(out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_20_23

@@ -1,0 +1,132 @@
+"""Property tests of the coefficient-tuple kernels the basis chain runs on.
+
+Each kernel is checked against an independent route: the dense product
+``HomogPoly.__mul__``, the scale-and-add of ``HomogPoly``, exact Fraction
+arithmetic, or the Derivation method that wraps it.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from logvf import Derivation, Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
+from logvf.derivation import apply, primitive
+from logvf.poly import div_linear, div_linear_power, eval_raw, times_linear
+
+FIELDS = [RATIONALS, Field(7), Field(101), Field(2**31 - 1)]
+
+ints = st.integers(-10**6, 10**6)
+coeff_lists = st.lists(ints, min_size=1, max_size=25)
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+
+def raw_form(field, ax, ay):
+    """The normal form of ax*x + ay*y (x when both are zero) as ``(a, b, p)``."""
+    form = LinearForm(field, ax, ay) if ax or ay else LinearForm(field, 1, 0)
+    return form.ax.value, form.ay.value, field.characteristic
+
+
+def reduce(cs, p):
+    return tuple(c % p for c in cs) if p else tuple(cs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(FIELDS), coeffs=coeff_lists, ax=st.integers(-6, 6), ay=st.integers(-6, 6))
+def test_dividing_a_product_by_the_form_gives_the_polynomial_back(field, coeffs, ax, ay):
+    # over Q the form is a primitive integer pair, non-monic when ax > 1
+    a, b, p = raw_form(field, ax, ay)
+    cs = reduce(coeffs, p)
+    product = times_linear(cs, a, b, p)
+    assert product == (HomogPoly(field, cs) * HomogPoly(field, [b, a])).coeffs
+    q, r = div_linear(product, a, b, p)
+    assert r == 0 and q == cs
+    # Gauss's lemma: an integer quotient by a primitive form stays integral
+    assert all(type(c) is int for c in q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=coeff_lists, ax=st.integers(2, 6), ay=st.integers(-6, 6), power=st.integers(0, 4))
+def test_non_monic_powers_divide_exactly_and_one_more_is_refused(coeffs, ax, ay, power):
+    a, b, p = raw_form(RATIONALS, ax, ay)
+    cs = tuple(coeffs)
+    h = cs
+    for _ in range(power):
+        h = times_linear(h, a, b, p)
+    assert div_linear_power(h, a, b, p, power) == cs
+    if eval_raw(cs, b, -a, p):  # the form does not divide cs itself
+        with pytest.raises(InexactDivisionError):
+            div_linear_power(h, a, b, p, power + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(st.one_of(ints, fractions), min_size=2, max_size=15), ax=st.integers(2, 6), ay=st.integers(-6, 6))
+def test_fraction_fallback_of_the_division_is_exact(coeffs, ax, ay):
+    # a remainder the integers cannot absorb moves the quotient into Q;
+    # h = form*q + r*y^deg holds exactly either way
+    a, b, p = raw_form(RATIONALS, ax, ay)
+    h = HomogPoly(RATIONALS, coeffs)
+    q, r = div_linear(h.coeffs, a, b, p)
+    rest = HomogPoly.monomial(RATIONALS, h.degree, 0, r)
+    assert HomogPoly(RATIONALS, times_linear(q, a, b, p)) + rest == h
+    if r:
+        assert not eval_raw(times_linear(q, a, b, p), b, -a, p)
+        assert eval_raw(h.coeffs, b, -a, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(FIELDS), coeffs=coeff_lists, x=st.integers(-9, 9), y=st.integers(-9, 9))
+def test_evaluation_matches_the_monomial_sum(field, coeffs, x, y):
+    p = field.characteristic
+    cs = reduce(coeffs, p)
+    d = len(cs) - 1
+    value = sum(c * Fraction(x) ** j * Fraction(y) ** (d - j) for j, c in enumerate(cs))
+    assert eval_raw(cs, x % p if p else x, y % p if p else y, p) == (value % p if p else value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    field=st.sampled_from(FIELDS),
+    pair=st.integers(0, 12).flatmap(lambda d: st.tuples(*[st.lists(ints, min_size=d + 1, max_size=d + 1)] * 2)),
+    ax=st.integers(-6, 6),
+    ay=st.integers(-6, 6),
+)
+def test_tuple_apply_equals_scale_and_add_and_the_method(field, pair, ax, ay):
+    a, b, p = raw_form(field, ax, ay)
+    f, g = (HomogPoly(field, cs) for cs in pair)
+    h = apply(f.coeffs, g.coeffs, a, b, p)
+    assert h == (f.scale(a) + g.scale(b)).coeffs
+    if f.is_zero() and g.is_zero():
+        return
+    form = LinearForm(field, a, b)
+    assert h == Derivation(f, g).apply(form).coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pair=st.integers(0, 12).flatmap(lambda d: st.tuples(*[st.lists(ints, min_size=d + 1, max_size=d + 1)] * 2)),
+    scale=st.integers(-40, 40).filter(bool),
+)
+def test_tuple_primitive_equals_the_method(pair, scale):
+    f, g = (tuple(scale * c for c in cs) for cs in pair)
+    if not any(f + g):
+        return
+    rf, rg, k = primitive(f, g)
+    # an independent check: coprime, trailing coefficient positive, f = k*f'
+    assert math.gcd(*rf, *rg) == 1
+    assert next(c for c in reversed(rf + rg) if c) > 0
+    assert tuple(k * c for c in rf) == f and tuple(k * c for c in rg) == g
+    reduced, factor = Derivation(HomogPoly(RATIONALS, f), HomogPoly(RATIONALS, g)).primitive()
+    assert (reduced.f.coeffs, reduced.g.coeffs) == (rf, rg)
+    assert factor == Fraction(1, k)
+
+
+@given(pair=st.tuples(*[st.lists(fractions, min_size=3, max_size=3)] * 2))
+def test_method_primitive_clears_denominators_before_the_kernel(pair):
+    theta_f, theta_g = (HomogPoly(RATIONALS, cs) for cs in pair)
+    if theta_f.is_zero() and theta_g.is_zero():
+        return
+    reduced, factor = Derivation(theta_f, theta_g).primitive()
+    assert all(type(c) is int for c in reduced.f.coeffs + reduced.g.coeffs)
+    assert reduced == Derivation(theta_f.scale(factor), theta_g.scale(factor))
