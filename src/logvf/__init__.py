@@ -33,7 +33,7 @@ from .basis import (
     verify_basis,
 )
 from .derivation import Derivation, saito_determinant
-from .field import RATIONALS, Field, FieldElement
+from .field import RATIONALS, Field
 from .oracle import dim_degree, dimension_table, exponents_by_oracle
 from .poly import HomogPoly, InexactDivisionError
 
@@ -45,7 +45,6 @@ __all__ = [
     "Derivation",
     "ExperimentRow",
     "Field",
-    "FieldElement",
     "HomogPoly",
     "InexactDivisionError",
     "LinearForm",

@@ -17,7 +17,7 @@ from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
 from .basis import BasisPair, Branch, _line, _pair, _ramp, _ramp_degrees, _run_chain, verify_basis
 from .derivation import Derivation
 from .field import Field
-from .poly import HomogPoly
+from .poly import HomogPoly, times_linear
 
 
 # ----------------------------------------------------------------------
@@ -209,14 +209,12 @@ def frobenius_basis(p: int, i: int, shifts=None) -> BasisPair:
     result is checked against Saito's criterion before being returned.
     """
     arrangement = frobenius_arrangement(p, i, shifts)
-    field = arrangement.field
-    shifts = dict(shifts or {})
-    theta1 = frobenius_derivation(p, i)
-    for form in all_hyperplanes(field):
-        for _ in range(shifts.get(form, 0)):
-            theta1 = theta1.times_linear(form)
-    theta2 = frobenius_derivation(p, i + 1)
-    pair = BasisPair(theta1, theta2)
+    theta1, theta2 = frobenius_derivation(p, i), frobenius_derivation(p, i + 1)
+    f, g, q = theta1.f.coeffs, theta1.g.coeffs, p**i
+    for form, mult in arrangement.items():
+        for _ in range(mult - q):
+            f, g = times_linear(f, form.ax, form.ay, p), times_linear(g, form.ax, form.ay, p)
+    pair = _pair(arrangement.field, (f, g), (theta2.f.coeffs, theta2.g.coeffs))
     if not verify_basis(pair, arrangement):
         raise RuntimeError(
             "Frobenius-power pair failed Saito verification; this should be impossible"

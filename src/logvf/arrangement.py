@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .field import Field, FieldElement
+from .field import Field
 
 
 class LinearForm:
@@ -21,8 +21,8 @@ class LinearForm:
 
     Over Q the pair is scaled to coprime integers with ``ax > 0``, or to
     ``(0, 1)`` when ``ax == 0``; over F_p it is scaled so that ``ax == 1``,
-    or to ``(0, 1)``.  Two forms with the same kernel are therefore identical
-    objects in the ``==`` sense.  Forms order and print by their slope
+    or to ``(0, 1)``; either way ``ax`` and ``ay`` are plain ints.  Two forms
+    with the same kernel are therefore identical objects in the ``==`` sense.  Forms order and print by their slope
     ``ay/ax``: y first, then ``x + c*y`` by increasing c.
     """
 
@@ -44,17 +44,17 @@ class LinearForm:
                 g = -g
             a, b = a // g, b // g
         self.field = field
-        self.ax = FieldElement(field, a)
-        self.ay = FieldElement(field, b)
+        self.ax = a
+        self.ay = b
 
     def point_raw(self):
         """A raw point (ay, -ax) spanning the kernel of the form."""
         p = self.field.characteristic
-        return (self.ay.value, -self.ax.value % p if p else -self.ax.value)
+        return (self.ay, -self.ax % p if p else -self.ax)
 
     def sort_key(self):
         """Key for the canonical ordering of forms (y sorts before x + c*y)."""
-        a, b = self.ax.value, self.ay.value
+        a, b = self.ax, self.ay
         return (a, b) if a <= 1 else (1, Fraction(b, a))
 
     def __eq__(self, other):
@@ -62,15 +62,15 @@ class LinearForm:
             return NotImplemented
         return (
             self.field == other.field
-            and self.ax.value == other.ax.value
-            and self.ay.value == other.ay.value
+            and self.ax == other.ax
+            and self.ay == other.ay
         )
 
     def __hash__(self):
-        return hash((self.field, self.ax.value, self.ay.value))
+        return hash((self.field, self.ax, self.ay))
 
     def __str__(self):
-        a, b = self.ax.value, self.ay.value
+        a, b = self.ax, self.ay
         if not a:
             return "y"
         if a != 1:

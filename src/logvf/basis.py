@@ -86,7 +86,7 @@ def verify_basis(pair: BasisPair, arrangement: Multiarrangement) -> bool:
     theta1, theta2 = pair
     if not (theta1.is_member(arrangement) and theta2.is_member(arrangement)):
         return False
-    k = next((m for form, m in arrangement.items() if not form.ay.value), 0)
+    k = next((m for form, m in arrangement.items() if not form.ay), 0)
     f1, g1, f2, g2 = theta1.f.coeffs, theta1.g.coeffs, theta2.f.coeffs, theta2.g.coeffs
     span = range(max(0, k - theta2.degree), min(k, theta1.degree) + 1)
     c = sum(f1[i] * g2[k - i] - g1[i] * f2[k - i] for i in span)
@@ -96,7 +96,7 @@ def verify_basis(pair: BasisPair, arrangement: Multiarrangement) -> bool:
 
 def _line(form: LinearForm):
     """The raw ``(ax, ay, p)`` of a form: how the chain below takes a hyperplane."""
-    return form.ax.value, form.ay.value, form.field.characteristic
+    return form.ax, form.ay, form.field.characteristic
 
 
 def _pair(field, theta1, theta2) -> BasisPair:

@@ -96,7 +96,7 @@ def render_arrangement(arrangement: Multiarrangement) -> str:
     header = f"field F {field.characteristic}" if field.characteristic else "field Q"
     lines = [header]
     for form, mult in arrangement.items():
-        lines.append(f"{form.ax.value} {form.ay.value} {mult}")
+        lines.append(f"{form.ax} {form.ay} {mult}")
     return "\n".join(lines) + "\n"
 
 
@@ -163,16 +163,13 @@ def cmd_verify(args) -> int:
     field = arrangement.field
     theta1 = Derivation.from_text(field, args.theta1)
     theta2 = Derivation.from_text(field, args.theta2)
-    pair = BasisPair(theta1, theta2)
-    member1 = pair.theta1.is_member(arrangement)
-    member2 = pair.theta2.is_member(arrangement)
+    # label each derivation as given; a BasisPair would reorder them by degree
+    for name, theta in (("theta1", theta1), ("theta2", theta2)):
+        print(f"{name} in D(A, mu): {'true' if theta.is_member(arrangement) else 'false'}")
     independent = not saito_determinant(theta1, theta2).is_zero()
-    degree_sum = sum(pair.degrees())
-    print(f"theta1 in D(A, mu): {'true' if member1 else 'false'}")
-    print(f"theta2 in D(A, mu): {'true' if member2 else 'false'}")
     print(f"independent: {'true' if independent else 'false'}")
-    print(f"degree sum: {degree_sum}, |mu|: {arrangement.total}")
-    ok = verify_basis(pair, arrangement)
+    print(f"degree sum: {theta1.degree + theta2.degree}, |mu|: {arrangement.total}")
+    ok = verify_basis(BasisPair(theta1, theta2), arrangement)
     print(f"basis: {'true' if ok else 'false'}")
     return 0 if ok else 1
 
@@ -238,6 +235,11 @@ def cmd_prop_experiment(args) -> int:
             f"prop-experiment is limited to {PROP_TUPLE_LIMIT} tuples, hi <= {CHAIN_TOTAL_LIMIT // 4} and work "
             f"(hi-lo+1)^3 * hi^2 <= {PROP_WORK_LIMIT}, got {count} tuples, hi = {args.hi}, work {work}",
         )
+    if args.out:
+        try:  # fail before the sweep, not after it; "a" leaves an existing report intact
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise ParseError(None, f"cannot write {args.out}: {exc.strerror}") from None
     report = proposition_experiment(lo=args.lo, hi=args.hi)
     print(report.summary())
     if args.out:

@@ -88,7 +88,7 @@ class Derivation:
         """The polynomial ``theta(alpha) = ax*f + ay*g`` for a linear form alpha."""
         if form.field != self.field:
             raise ValueError("form belongs to a different field")
-        h = apply(self.f.coeffs, self.g.coeffs, form.ax.value, form.ay.value, self.field.characteristic)
+        h = apply(self.f.coeffs, self.g.coeffs, form.ax, form.ay, self.field.characteristic)
         return HomogPoly._raw(self.field, self.degree, h)
 
     def is_member(self, arrangement: Multiarrangement) -> bool:
@@ -101,7 +101,7 @@ class Derivation:
             raise ValueError("arrangement lives over a different field")
         f, g, p = self.f.coeffs, self.g.coeffs, self.field.characteristic
         for form, mult in arrangement.items():
-            a, b = form.ax.value, form.ay.value
+            a, b = form.ax, form.ay
             h = apply(f, g, a, b, p)
             if any(h):
                 for _ in range(mult):

@@ -4,9 +4,8 @@ Every scalar is a raw value: over Q a ``fractions.Fraction``, stored as a
 plain ``int`` when it is integral (the basis construction over Q keeps every
 coefficient integral, so its chains run entirely in native ints); over F_p an
 ``int`` reduced into ``[0, p)``.  All arithmetic is on these raw values.
-:meth:`Field.coerce` is the one validator of scalars from outside, and
-:class:`FieldElement` is only the read-only ``(field, value)`` pair that a
-linear form exposes as its coefficients.
+:meth:`Field.coerce` is the one validator of scalars from outside; a linear
+form's normalized coefficients are plain ints of the same kind.
 """
 
 from __future__ import annotations
@@ -93,14 +92,9 @@ class Field:
     def coerce(self, x):
         """Convert ``x`` to a raw backend scalar.
 
-        Accepts ints, Fractions, numeric strings such as
-        ``"2/3"`` or ``"-5"``, and FieldElements of this same field.  Floats
-        are rejected to keep every computation exact.
+        Accepts ints, Fractions and numeric strings such as ``"2/3"`` or
+        ``"-5"``.  Floats are rejected to keep every computation exact.
         """
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise ValueError("operand belongs to a different field")
-            return x.value
         if isinstance(x, bool):
             x = int(x)
         elif isinstance(x, float):
@@ -130,27 +124,3 @@ class Field:
 
 
 RATIONALS = Field(0)
-
-
-class FieldElement:
-    """A read-only raw scalar tagged with its :class:`Field`; it has no arithmetic."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: Field, value):
-        self.field = field
-        self.value = value
-
-    def __eq__(self, other):
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"FieldElement({self.value}, {self.field})"

@@ -33,7 +33,7 @@ def _constraint_rows(arrangement: Multiarrangement, d: int):
     p = arrangement.field.characteristic
     rows = []
     for form, mult in arrangement.items():
-        ax, ay = form.ax.value, form.ay.value
+        ax, ay = form.ax, form.ay
         # ax^0, ..., ax^(d+1) over Q; over F_p ax <= 1 and rows need no scale
         pw = None if p else list(accumulate(repeat(ax, d + 1), mul, initial=1))
         for k in range(min(mult, d + 1)):

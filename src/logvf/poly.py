@@ -101,16 +101,12 @@ class HomogPoly:
 
     __slots__ = ("field", "degree", "coeffs")
 
-    def __init__(self, field: Field, coefficients, degree: int | None = None):
+    def __init__(self, field: Field, coefficients):
         coeffs = tuple(field.coerce(c) for c in coefficients)
-        if degree is None:
-            degree = len(coeffs) - 1
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        if len(coeffs) != degree + 1:
-            raise ValueError(f"degree {degree} needs {degree + 1} coefficients, got {len(coeffs)}")
+        if not coeffs:
+            raise ValueError("a polynomial needs at least one coefficient")
         self.field = field
-        self.degree = degree
+        self.degree = len(coeffs) - 1
         self.coeffs = coeffs
 
     @classmethod
@@ -229,7 +225,7 @@ class HomogPoly:
         """Multiply by a linear form (see :func:`times_linear`)."""
         if form.field != self.field:
             raise ValueError("form belongs to a different field")
-        out = times_linear(self.coeffs, form.ax.value, form.ay.value, self.field.characteristic)
+        out = times_linear(self.coeffs, form.ax, form.ay, self.field.characteristic)
         return HomogPoly._raw(self.field, self.degree + 1, out)
 
     # ------------------------------------------------------------------
@@ -242,7 +238,7 @@ class HomogPoly:
 
     def _div_linear(self, form: LinearForm):
         """One synthetic division step: returns (quotient, raw remainder scalar)."""
-        q, r = div_linear(self.coeffs, form.ax.value, form.ay.value, self.field.characteristic)
+        q, r = div_linear(self.coeffs, form.ax, form.ay, self.field.characteristic)
         return HomogPoly._raw(self.field, len(q) - 1, q), r
 
     def div_linear_power(self, form: LinearForm, power: int) -> "HomogPoly":
@@ -251,7 +247,7 @@ class HomogPoly:
             raise ValueError("form belongs to a different field")
         if power < 0:
             raise ValueError("power must be nonnegative")
-        q = div_linear_power(self.coeffs, form.ax.value, form.ay.value, self.field.characteristic, power)
+        q = div_linear_power(self.coeffs, form.ax, form.ay, self.field.characteristic, power)
         return HomogPoly._raw(self.field, len(q) - 1, q)
 
     # ------------------------------------------------------------------
@@ -315,4 +311,4 @@ class HomogPoly:
         parts = tail.split(",")
         if len(parts) != degree + 1:
             raise ValueError(f"degree {degree} needs {degree + 1} coefficients, got {len(parts)}")
-        return cls(field, [s.strip() for s in parts], degree)
+        return cls(field, [s.strip() for s in parts])

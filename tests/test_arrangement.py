@@ -1,14 +1,17 @@
 """Normalized forms and multiarrangement bookkeeping."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from logvf import Field, LinearForm, Multiarrangement, RATIONALS, all_hyperplanes
+from logvf.cli import parse_arrangement_text
 
 
 def test_normalization_over_q():
     form = LinearForm(RATIONALS, 2, 4)
-    assert (form.ax.value, form.ay.value) == (1, 2)
+    assert (form.ax, form.ay) == (1, 2)
     assert str(form) == "x + 2*y"
     assert LinearForm(RATIONALS, 0, -3) == LinearForm(RATIONALS, 0, 1)
     assert str(LinearForm(RATIONALS, 0, -3)) == "y"
@@ -16,7 +19,22 @@ def test_normalization_over_q():
 
 def test_normalization_over_f5():
     form = LinearForm(Field(5), 3, 1)
-    assert (form.ax.value, form.ay.value) == (1, 2)  # 3^-1 = 2 mod 5
+    assert (form.ax, form.ay) == (1, 2)  # 3^-1 = 2 mod 5
+
+
+@pytest.mark.parametrize("p", [0, 7, 2**31 - 1])
+@pytest.mark.parametrize(
+    "ax, ay",
+    [(3, 5), ("3/2", "-1/4"), ("0.25", "1e3"), (-2, -6), ("-4", "12"), (0, "-3/2"), ("1e3", 0)],
+)
+def test_form_coefficients_are_plain_ints(p, ax, ay):
+    field = Field(p)
+    header = f"field F {p}" if p else "field Q"
+    scaled = LinearForm(field, Fraction(ax) * -3, Fraction(ay) * -3)
+    parsed = parse_arrangement_text(f"{header}\n{ax} {ay} 1\n").forms()[0]
+    for form in (LinearForm(field, ax, ay), scaled, parsed):
+        assert type(form.ax) is int and type(form.ay) is int
+        assert (form.ax, form.ay) == (scaled.ax, scaled.ay)
 
 
 def test_zero_form_rejected():
@@ -44,7 +62,7 @@ def test_normalization_kills_scaling(a, b, c):
 def test_point_raw_lies_on_kernel():
     form = LinearForm(RATIONALS, 3, 7)
     px, py = form.point_raw()
-    assert form.ax.value * px + form.ay.value * py == 0
+    assert form.ax * px + form.ay * py == 0
 
 
 def x_y_xy():
@@ -123,5 +141,5 @@ def test_all_hyperplanes_distinct_and_complete(p):
         for b in range(p):
             if a == 0 and b == 0:
                 continue
-            hits = [f for f in forms if (f.ax.value * a + f.ay.value * b) % p == 0]
+            hits = [f for f in forms if (f.ax * a + f.ay * b) % p == 0]
             assert len(hits) == 1

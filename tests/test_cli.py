@@ -149,6 +149,11 @@ def test_verify_command_accepts_and_rejects(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "basis: false" in out
     assert "theta1 in D(A, mu): false" in out
+    # the lower-degree derivation first: the labels still follow the flags
+    swapped = main(["verify", path, "--theta1", "0:1;0:0", "--theta2", "1:0,0;1:1,0"])
+    assert swapped == 1
+    out = capsys.readouterr().out
+    assert "theta1 in D(A, mu): false" in out and "theta2 in D(A, mu): true" in out
 
 
 def test_verify_command_bad_derivation_text(tmp_path, capsys):
@@ -360,6 +365,19 @@ def test_prop_experiment_command(tmp_path, capsys):
     assert out_csv.exists()
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 17
+
+
+@pytest.mark.parametrize("target", ["missing_dir/r.csv", "."])
+def test_prop_experiment_unwritable_out_fails_before_the_sweep(tmp_path, capsys, monkeypatch, target):
+    def no_walk(*a, **k):
+        raise AssertionError("the sweep must not start when its report cannot be written")
+
+    monkeypatch.setattr("logvf.cli.proposition_experiment", no_walk)
+    out = tmp_path / target
+    assert main(["prop-experiment", "--lo", "20", "--hi", "20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert not (tmp_path / "missing_dir").exists()
 
 
 @pytest.mark.parametrize(

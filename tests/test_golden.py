@@ -5,6 +5,8 @@ it ran on plain coefficient tuples.  Each field gets seeded arrangements up
 to |mu| = 160 (over Q the non-monic lines 2x + y and 3x - 2y are always
 present), so any change in a basis, a trace line or an exponent pair, at
 sizes far past the oracle's |mu| <= 12, shows up as a changed digest.
+The Frobenius digest was computed while ``frobenius_basis`` still multiplied
+its member by each shifted form through ``Derivation.times_linear``.
 """
 
 import hashlib
@@ -16,8 +18,10 @@ from logvf import (
     Field,
     LinearForm,
     Multiarrangement,
+    all_hyperplanes,
     build_basis,
     exponents,
+    frobenius_basis,
     proposition_experiment,
     trace_chain,
     verify_basis,
@@ -33,6 +37,7 @@ GOLDEN = {
     "F_7": "9f3628710a8ac99465b9c685f12412bc2b5011084995791d719a3e78a068c457",
 }
 SWEEP_20_23 = "e30d332bf2e7a0e5a0b9b5aeb4aa626e8273a2ba0f93dae9554790317e57c211"
+FROBENIUS = "8c4dedf2b1275b6203c2f19b0f9da7fce26aeef3d25c3476859022e29173a89b"
 
 
 def golden_arrangements(field, seed=1):
@@ -66,6 +71,22 @@ def golden_text(field):
     return "\n".join(lines) + "\n"
 
 
+def frobenius_text(seed=1):
+    """Seeded shifted Frobenius families for p in {2, 3, 5, 7} and i in {0, 1}, one basis per line pair."""
+    rng = random.Random(seed)
+    lines = []
+    for p in (2, 3, 5, 7):
+        hyperplanes = all_hyperplanes(Field(p))
+        for i in (0, 1):
+            top = p ** (i + 1) - p**i
+            for _ in range(5):
+                chosen = rng.sample(hyperplanes, rng.randint(0, len(hyperplanes)))
+                shifts = {form: rng.randint(0, top) for form in chosen}
+                lines.append(f"{p} {i} " + ",".join(str(shifts.get(h, 0)) for h in hyperplanes))
+                lines.extend(theta.to_text() for theta in frobenius_basis(p, i, shifts))
+    return "\n".join(lines) + "\n"
+
+
 def digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -87,3 +108,7 @@ def test_sweep_csv_is_unchanged(tmp_path):
     out = tmp_path / "report.csv"
     proposition_experiment(20, 23).write_csv(out)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_20_23
+
+
+def test_frobenius_bases_are_unchanged():
+    assert digest(frobenius_text()) == FROBENIUS

@@ -25,7 +25,7 @@ fractions = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 def raw_form(field, ax, ay):
     """The normal form of ax*x + ay*y (x when both are zero) as ``(a, b, p)``."""
     form = LinearForm(field, ax, ay) if ax or ay else LinearForm(field, 1, 0)
-    return form.ax.value, form.ay.value, field.characteristic
+    return form.ax, form.ay, field.characteristic
 
 
 def reduce(cs, p):

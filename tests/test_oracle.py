@@ -153,7 +153,7 @@ def _slope_rows(arrangement, d):
     p = arrangement.field.characteristic
     rows = []
     for form, mult in arrangement.items():
-        ax, ay = form.ax.value, form.ay.value
+        ax, ay = form.ax, form.ay
         c = Fraction(ay, ax) if ax else None
         for k in range(min(mult, d + 1)):
             row = [0] * (2 * (d + 1))
@@ -183,7 +183,7 @@ def test_constraint_rows_are_integral_scalings_of_the_slope_rows(field, extra):
             rows = oracle._constraint_rows(arr, d)
             assert all(type(v) is int for row in rows for v in row)
             scales = [
-                form.ax.value ** (d + 1 - k) if form.ax.value else 1
+                form.ax ** (d + 1 - k) if form.ax else 1
                 for form, mult in arr.items()
                 for k in range(min(mult, d + 1))
             ]

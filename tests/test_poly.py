@@ -10,8 +10,8 @@ from logvf import Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 F2 = Field(2)
 
 
-def P(coeffs, field=RATIONALS, degree=None):
-    return HomogPoly(field, coeffs, degree)
+def P(coeffs, field=RATIONALS):
+    return HomogPoly(field, coeffs)
 
 
 def test_addition():
@@ -101,8 +101,8 @@ def test_monomial_and_constant():
 
 
 def test_str():
-    assert str(P(["-1/2", 0, 0, 3], degree=3)) == "3*x^3 - 1/2*y^3"
-    assert str(P([0, 3, 0, 0], degree=3)) == "3*x*y^2"
+    assert str(P(["-1/2", 0, 0, 3])) == "3*x^3 - 1/2*y^3"
+    assert str(P([0, 3, 0, 0])) == "3*x*y^2"
     assert str(HomogPoly.zero(RATIONALS, 4)) == "0"
     assert str(P([1, -1])) == "-x + y"
     assert str(P([2], F2)) == "0"
@@ -124,6 +124,12 @@ def test_float_coefficients_rejected():
         P([0.5, 1])
 
 
+def test_degree_is_read_off_the_coefficients():
+    assert P([1, 0, 0, 0]).degree == 3 and P([7]).degree == 0
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        P([])
+
+
 small_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 
 
@@ -134,7 +140,7 @@ def poly_strategy(field=RATIONALS, max_degree=5):
         scalars = small_rationals
     return st.integers(min_value=0, max_value=max_degree).flatmap(
         lambda d: st.lists(scalars, min_size=d + 1, max_size=d + 1).map(
-            lambda cs: HomogPoly(field, cs, d)
+            lambda cs: HomogPoly(field, cs)
         )
     )
 
@@ -179,7 +185,7 @@ def same_degree_pair(field, max_degree=5):
         lambda d: st.tuples(
             st.lists(scalars, min_size=d + 1, max_size=d + 1),
             st.lists(scalars, min_size=d + 1, max_size=d + 1),
-        ).map(lambda cs: (HomogPoly(field, cs[0], d), HomogPoly(field, cs[1], d)))
+        ).map(lambda cs: (HomogPoly(field, cs[0]), HomogPoly(field, cs[1])))
     )
 
 
@@ -233,7 +239,7 @@ def test_times_linear_matches_dense_product(field, coeffs, ax, ay):
     h = HomogPoly(field, coeffs)
     form = LinearForm(field, ax, ay)  # non-monic over Q when |ax| > 1
     product = h.times_linear(form)
-    reference = h * HomogPoly(field, [form.ay.value, form.ax.value])
+    reference = h * HomogPoly(field, [form.ay, form.ax])
     assert (product.degree, product.coeffs) == (reference.degree, reference.coeffs)
 
 
