@@ -79,10 +79,11 @@ def trace_chain(arrangement: Multiarrangement):
 
 
 class NoGenericFormError(Exception):
-    """No linear form avoids the divisibility obstruction for theta2.
+    """No linear form outside ``exclude`` avoids the divisibility obstruction for theta2.
 
-    This happens exactly when theta2 is a polynomial multiple of the Euler
-    derivation, since then every linear form alpha divides theta2(alpha).
+    Over Q this happens exactly when theta2 is a polynomial multiple of the
+    Euler derivation, since then every linear form alpha divides theta2(alpha).
+    Over F_p it can also mean that every hyperplane is excluded or obstructed.
     """
 
 
@@ -106,26 +107,20 @@ def find_generic_form(theta2: Derivation, exclude=()) -> LinearForm:
 
     Adding such a form to the arrangement sends the update step through its
     generic branch, which lowers the exponent difference when theta2 is the
-    smaller-degree member of a basis.  The candidates y, x, x + y, x - y,
-    x + 2y, ... are scanned in order, so the result is deterministic; the
-    value theta2(x + c*y) at the kernel point is a nonzero polynomial in c of
-    degree at most deg(theta2) + 1 unless theta2 is an Euler multiple, which
-    bounds the search.
+    smaller-degree member of a basis.  Scanning y, then x + c*y for c = 0, 1,
+    ..., p - 1 over F_p or c = 0, 1, -1, 2, ... over Q, makes the result
+    deterministic.  theta2(x + c*y) at the kernel point is (x*g - y*f)(c, -1),
+    of degree <= deg(theta2) + 1 in c and zero exactly for an Euler multiple,
+    so over every field the search stops after deg(theta2) + 2 obstructed forms.
     """
     field = theta2.field
     excluded = set(exclude)
-    if field.characteristic:
-        for form in all_hyperplanes(field):
-            if form not in excluded and _avoids_obstruction(theta2, form):
-                return form
-        raise NoGenericFormError(
-            "every hyperplane over the field is excluded or obstructed"
-        )
     y_form = LinearForm(field, 0, 1)
     if y_form not in excluded and _avoids_obstruction(theta2, y_form):
         return y_form
+    p = field.characteristic
     tested = 0
-    for c in _ladder():
+    for c in range(p) if p else _ladder():
         form = LinearForm(field, 1, c)
         if form in excluded:
             continue
@@ -134,9 +129,7 @@ def find_generic_form(theta2: Derivation, exclude=()) -> LinearForm:
         tested += 1
         if tested > theta2.degree + 1:
             break
-    raise NoGenericFormError(
-        "theta2 is a multiple of the Euler derivation; every form is obstructed"
-    )
+    raise NoGenericFormError("every linear form is excluded or divides its value under theta2")
 
 
 def unbalanced_exponents(arrangement: Multiarrangement):

@@ -92,6 +92,7 @@ class LinearForm:
 class Multiarrangement:
     """Distinct hyperplanes through the origin with positive multiplicities.
 
+    Built from a mapping of LinearForms to positive ints (None: no hyperplanes).
     Immutable by convention; the update methods return new instances.  All
     iteration is in the canonical sorted order of the normalized forms, so a
     given arrangement always presents its hyperplanes the same way.
@@ -100,27 +101,19 @@ class Multiarrangement:
     __slots__ = ("field", "_mult", "_forms")
 
     def __init__(self, field: Field, multiplicities=None):
-        mult: dict[LinearForm, int] = {}
-        pairs = []
-        if multiplicities is None:
-            pass
-        elif hasattr(multiplicities, "items"):
-            pairs = list(multiplicities.items())
-        else:
-            pairs = list(multiplicities)
-        for form, m in pairs:
+        multiplicities = {} if multiplicities is None else multiplicities
+        if not hasattr(multiplicities, "items"):
+            raise ValueError(f"multiplicities must be a mapping, got {type(multiplicities).__name__}")
+        for form, m in multiplicities.items():
             if not isinstance(form, LinearForm):
                 raise ValueError(f"expected a LinearForm, got {type(form).__name__}")
             if form.field != field:
                 raise ValueError("form belongs to a different field")
             if isinstance(m, bool) or not isinstance(m, int) or m < 1:
                 raise ValueError(f"multiplicity of {form} must be a positive integer, got {m!r}")
-            if form in mult:
-                raise ValueError(f"duplicate hyperplane {form}")
-            mult[form] = m
         self.field = field
-        self._mult = mult
-        self._forms = tuple(sorted(mult, key=LinearForm.sort_key))
+        self._mult = dict(multiplicities.items())
+        self._forms = tuple(sorted(self._mult, key=LinearForm.sort_key))
 
     def forms(self) -> tuple[LinearForm, ...]:
         """The hyperplanes in canonical order."""

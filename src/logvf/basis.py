@@ -101,7 +101,7 @@ def _line(form: LinearForm):
 
 def _pair(field, theta1, theta2) -> BasisPair:
     """The BasisPair of two chain members, each an ``(f, g)`` pair of coefficient tuples."""
-    polys = [HomogPoly._raw(field, len(cs) - 1, cs) for cs in (*theta1, *theta2)]
+    polys = [HomogPoly._raw(field, cs) for cs in (*theta1, *theta2)]
     return BasisPair(Derivation(*polys[:2]), Derivation(*polys[2:]))
 
 

@@ -33,6 +33,9 @@ ORACLE_TOTAL_LIMIT = 16
 CHAIN_TOTAL_LIMIT = 500
 # ``frobenius`` takes 5.8 s at |mu| = 4094 (p = 4093, i = 0).
 FROBENIUS_TOTAL_LIMIT = 4096
+# ``verify`` forms the dense O(D^2) Saito determinant: 5.7 s at degree D = 4096 (one core,
+# Python 3.11), the largest degree ``frobenius`` prints, so every printed basis can be verified.
+VERIFY_DEGREE_LIMIT = 4096
 PROP_TUPLE_LIMIT = 15**4
 # ``prop-experiment`` ramps its last line hi steps of O(hi) from (hi-lo+1)^3 nodes:
 # 0.55-1.3 us per unit of (hi-lo+1)^3 * hi^2 (one shared core, Python 3.11), 2-5 s on [20, 34]^4.
@@ -109,9 +112,9 @@ def _load(path: str) -> Multiarrangement:
     return parse_arrangement_text(text)
 
 
-def _check_total(arrangement: Multiarrangement, limit: int, command: str) -> None:
-    if arrangement.total > limit:
-        raise ParseError(None, f"{command} is limited to |mu| <= {limit}, got {arrangement.total}")
+def _check_limit(command: str, what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ParseError(None, f"{command} is limited to {what} <= {limit}, got {value}")
 
 
 def _print_pair(pair: BasisPair) -> None:
@@ -140,7 +143,7 @@ def _exponent_line(degrees) -> str:
 
 def cmd_basis(args) -> int:
     arrangement = _load(args.arrangement)
-    _check_total(arrangement, CHAIN_TOTAL_LIMIT, "basis")
+    _check_limit("basis", "|mu|", arrangement.total, CHAIN_TOTAL_LIMIT)
     pair = build_basis(arrangement)
     _print_pair(pair)
     print(_exponent_line(pair.degrees()))
@@ -152,7 +155,7 @@ def cmd_exponents(args) -> int:
     # a dominant line has closed-form exponents; its chain is quadratic in |mu|
     degrees = unbalanced_exponents(arrangement)
     if degrees is None:
-        _check_total(arrangement, CHAIN_TOTAL_LIMIT, "exponents")
+        _check_limit("exponents", "|mu|", arrangement.total, CHAIN_TOTAL_LIMIT)
         degrees = exponents(arrangement)
     print(_exponent_line(degrees))
     return 0
@@ -163,6 +166,7 @@ def cmd_verify(args) -> int:
     field = arrangement.field
     theta1 = Derivation.from_text(field, args.theta1)
     theta2 = Derivation.from_text(field, args.theta2)
+    _check_limit("verify", "degree", max(theta1.degree, theta2.degree), VERIFY_DEGREE_LIMIT)
     # label each derivation as given; a BasisPair would reorder them by degree
     for name, theta in (("theta1", theta1), ("theta2", theta2)):
         print(f"{name} in D(A, mu): {'true' if theta.is_member(arrangement) else 'false'}")
@@ -176,7 +180,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     arrangement = _load(args.arrangement)
-    _check_total(arrangement, ORACLE_TOTAL_LIMIT, "oracle")
+    _check_limit("oracle", "|mu|", arrangement.total, ORACLE_TOTAL_LIMIT)
     table = dimension_table(arrangement)
     for d, dim in enumerate(table):
         print(f"d = {d}: dim {dim}")
@@ -186,7 +190,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_trace(args) -> int:
     arrangement = _load(args.arrangement)
-    _check_total(arrangement, CHAIN_TOTAL_LIMIT, "trace")
+    _check_limit("trace", "|mu|", arrangement.total, CHAIN_TOTAL_LIMIT)
     pair, traces = trace_chain(arrangement)
     for t in traces:
         print(t)
@@ -216,7 +220,7 @@ def cmd_frobenius(args) -> int:
             raise ParseError(None, "--shifts values must be integers") from None
         shifts = dict(zip(hyperplanes, values))
     arrangement = frobenius_arrangement(p, i, shifts)
-    _check_total(arrangement, FROBENIUS_TOTAL_LIMIT, "frobenius")
+    _check_limit("frobenius", "|mu|", arrangement.total, FROBENIUS_TOTAL_LIMIT)
     pair = frobenius_basis(p, i, shifts)
     print(f"field: F_{p}")
     print(f"multiplicities: {arrangement}")
@@ -227,7 +231,9 @@ def cmd_frobenius(args) -> int:
 
 
 def cmd_prop_experiment(args) -> int:
-    width = max(args.hi - args.lo + 1, 0)
+    if args.lo < 1 or args.hi < args.lo:  # before --out is created
+        raise ParseError(None, "need 1 <= lo <= hi")
+    width = args.hi - args.lo + 1
     count, work = width**4, width**3 * args.hi**2
     if count > PROP_TUPLE_LIMIT or 4 * args.hi > CHAIN_TOTAL_LIMIT or work > PROP_WORK_LIMIT:  # |mu| <= 4*hi
         raise ParseError(

@@ -89,7 +89,7 @@ class Derivation:
         if form.field != self.field:
             raise ValueError("form belongs to a different field")
         h = apply(self.f.coeffs, self.g.coeffs, form.ax, form.ay, self.field.characteristic)
-        return HomogPoly._raw(self.field, self.degree, h)
+        return HomogPoly._raw(self.field, h)
 
     def is_member(self, arrangement: Multiarrangement) -> bool:
         """Whether this derivation lies in D(A, mu) for the given arrangement.
@@ -139,7 +139,7 @@ class Derivation:
         f, g, k = primitive(f, g)
         if den == 1 and k == 1:
             return self, 1
-        reduced = (HomogPoly._raw(self.field, self.degree, cs) for cs in (f, g))
+        reduced = (HomogPoly._raw(self.field, cs) for cs in (f, g))
         return Derivation(*reduced), _shrink(Fraction(den, k))
 
     # ------------------------------------------------------------------

@@ -110,17 +110,17 @@ class HomogPoly:
         self.coeffs = coeffs
 
     @classmethod
-    def _raw(cls, field: Field, degree: int, coeffs: tuple) -> "HomogPoly":
+    def _raw(cls, field: Field, coeffs: tuple) -> "HomogPoly":
         """Assemble from already-coerced raw coefficients (internal fast path)."""
         p = object.__new__(cls)
         p.field = field
-        p.degree = degree
+        p.degree = len(coeffs) - 1
         p.coeffs = coeffs
         return p
 
     @classmethod
     def zero(cls, field: Field, degree: int = 0) -> "HomogPoly":
-        return cls._raw(field, degree, (0,) * (degree + 1))
+        return cls._raw(field, (0,) * (degree + 1))
 
     @classmethod
     def constant(cls, field: Field, c) -> "HomogPoly":
@@ -133,7 +133,7 @@ class HomogPoly:
             raise ValueError(f"x power {x_power} outside 0..{degree}")
         coeffs = [0] * (degree + 1)
         coeffs[x_power] = field.coerce(coefficient)
-        return cls._raw(field, degree, tuple(coeffs))
+        return cls._raw(field, tuple(coeffs))
 
     # ------------------------------------------------------------------
     # predicates and equality
@@ -179,7 +179,7 @@ class HomogPoly:
             coeffs = tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
         else:
             coeffs = _collapse(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-        return HomogPoly._raw(self.field, self.degree, coeffs)
+        return HomogPoly._raw(self.field, coeffs)
 
     def __neg__(self):
         return self.scale(-1)
@@ -202,7 +202,7 @@ class HomogPoly:
                         out[i + j] += ai * bj
             p = self.field.characteristic
             out = tuple(c % p for c in out) if p else _collapse(tuple(out))
-            return HomogPoly._raw(self.field, self.degree + other.degree, out)
+            return HomogPoly._raw(self.field, out)
         return self.scale(other)
 
     def scale(self, c) -> "HomogPoly":
@@ -211,13 +211,11 @@ class HomogPoly:
         if raw == 1:
             return self
         p = self.field.characteristic
-        if not raw:
-            return HomogPoly.zero(self.field, self.degree)
         if p:
             coeffs = tuple(a * raw % p for a in self.coeffs)
         else:
             coeffs = _collapse(tuple(a * raw for a in self.coeffs))
-        return HomogPoly._raw(self.field, self.degree, coeffs)
+        return HomogPoly._raw(self.field, coeffs)
 
     __rmul__ = scale
 
@@ -226,7 +224,7 @@ class HomogPoly:
         if form.field != self.field:
             raise ValueError("form belongs to a different field")
         out = times_linear(self.coeffs, form.ax, form.ay, self.field.characteristic)
-        return HomogPoly._raw(self.field, self.degree + 1, out)
+        return HomogPoly._raw(self.field, out)
 
     # ------------------------------------------------------------------
     # evaluation and division by linear forms
@@ -239,7 +237,7 @@ class HomogPoly:
     def _div_linear(self, form: LinearForm):
         """One synthetic division step: returns (quotient, raw remainder scalar)."""
         q, r = div_linear(self.coeffs, form.ax, form.ay, self.field.characteristic)
-        return HomogPoly._raw(self.field, len(q) - 1, q), r
+        return HomogPoly._raw(self.field, q), r
 
     def div_linear_power(self, form: LinearForm, power: int) -> "HomogPoly":
         """Divide exactly by ``form ** power``; a remainder raises InexactDivisionError."""
@@ -248,7 +246,7 @@ class HomogPoly:
         if power < 0:
             raise ValueError("power must be nonnegative")
         q = div_linear_power(self.coeffs, form.ax, form.ay, self.field.characteristic, power)
-        return HomogPoly._raw(self.field, len(q) - 1, q)
+        return HomogPoly._raw(self.field, q)
 
     # ------------------------------------------------------------------
     # rendering and round-trip text form

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -27,8 +28,8 @@ from logvf import (
     unbalanced_exponents,
     verify_basis,
 )
-from logvf import basis
-from logvf.analysis import ExperimentRow
+from logvf import analysis, basis
+from logvf.analysis import ExperimentRow, _avoids_obstruction, _ladder
 
 from conftest import sample_arrangements
 
@@ -113,6 +114,129 @@ def test_generic_addition_balances_difference_one():
         d1, d2 = exponents(arr.incremented(form))
         assert d1 == d2
         checked += 1
+
+
+def _two_branch_scan(theta2, exclude=()):
+    """Reference: the scan with a separate F_p branch over all p + 1 hyperplanes; None for a raise."""
+    field = theta2.field
+    excluded = set(exclude)
+    if field.characteristic:
+        for form in all_hyperplanes(field):
+            if form not in excluded and _avoids_obstruction(theta2, form):
+                return form
+        return None
+    y_form = LinearForm(field, 0, 1)
+    if y_form not in excluded and _avoids_obstruction(theta2, y_form):
+        return y_form
+    tested = 0
+    for c in _ladder():
+        form = LinearForm(field, 1, c)
+        if form in excluded:
+            continue
+        if _avoids_obstruction(theta2, form):
+            return form
+        tested += 1
+        if tested > theta2.degree + 1:
+            break
+    return None
+
+
+SCAN_FIELDS = [RATIONALS, Field(2), Field(3), Field(5), Field(7), Field(101)]
+X_OF = {field: LinearForm(field, 1, 0) for field in SCAN_FIELDS}
+Y_OF = {field: LinearForm(field, 0, 1) for field in SCAN_FIELDS}
+
+
+def _random_poly(rng, field, degree):
+    return HomogPoly(field, [rng.randint(-3, 3) for _ in range(degree + 1)])
+
+
+def _obstructed_at(rng, field, forms, degree):
+    """A derivation of the given degree obstructed on the first deg + 1 of ``forms``, or None.
+
+    theta(alpha) at the kernel point of alpha is x*g - y*f there, so a product
+    h of those forms (times a random factor) is split as h = x*g - y*f, and a
+    random Euler multiple (x*k, y*k), which leaves h unchanged, is added.
+    """
+    h = HomogPoly.constant(field, 1)
+    for form in forms[: degree + 1]:
+        h = h.times_linear(form)
+    h = h * _random_poly(rng, field, degree + 1 - h.degree)
+    f = HomogPoly.monomial(field, degree, 0, -h.coeffs[0])
+    g = HomogPoly(field, h.coeffs[1:])
+    if degree:
+        k = _random_poly(rng, field, degree - 1)
+        f, g = f + k.times_linear(X_OF[field]), g + k.times_linear(Y_OF[field])
+    return Derivation(f, g) if not (f.is_zero() and g.is_zero()) else None
+
+
+def _candidate_pool(field):
+    if field.characteristic:
+        return all_hyperplanes(field)
+    return [Y] + [LinearForm(RATIONALS, 1, c) for c in range(-4, 5)] + [LinearForm(RATIONALS, 2, 1)]
+
+
+@pytest.mark.parametrize("field", SCAN_FIELDS, ids=str)
+def test_find_generic_form_matches_the_two_branch_scan(field):
+    rng = random.Random(20260 + field.characteristic)
+    pool = _candidate_pool(field)
+    kinds = {"found": 0, "raised": 0, "euler": 0, "excluded": 0}
+    for _ in range(400):
+        degree = rng.randint(0, 5)
+        draw = rng.random()
+        if draw < 0.25 and degree:  # an Euler multiple: x*k dx + y*k dy
+            k = _random_poly(rng, field, degree - 1)
+            if k.is_zero():
+                continue
+            theta = Derivation(k.times_linear(X_OF[field]), k.times_linear(Y_OF[field]))
+            kinds["euler"] += 1
+        elif draw < 0.7:  # obstructed on the first deg + 1 pool forms, y, x, x + y, ... over F_p
+            theta = _obstructed_at(rng, field, sorted(pool, key=LinearForm.sort_key), degree)
+        else:
+            f, g = _random_poly(rng, field, degree), _random_poly(rng, field, degree)
+            theta = None if f.is_zero() and g.is_zero() else Derivation(f, g)
+        if theta is None:
+            continue
+        if rng.random() < 0.1 and field.characteristic:
+            exclude = list(pool)
+        else:
+            exclude = rng.sample(pool, rng.randint(0, min(len(pool), 4)))
+        kinds["excluded"] += bool(exclude)
+        expected = _two_branch_scan(theta, exclude)
+        try:
+            got = find_generic_form(theta, exclude=exclude)
+        except NoGenericFormError:
+            got = None
+        assert got == expected, (theta, exclude)
+        kinds["found" if got is not None else "raised"] += 1
+    assert min(kinds.values()) >= 10, kinds
+    p = field.characteristic
+    if p:  # the Frobenius derivation: every form obstructed, yet no Euler multiple
+        frobenius = frobenius_derivation(p, 1)
+        with pytest.raises(NoGenericFormError):
+            find_generic_form(frobenius)
+        assert _two_branch_scan(frobenius) is None
+
+
+def test_find_generic_form_makes_at_most_degree_plus_three_tests(monkeypatch):
+    calls = []
+
+    def counting(theta2, form):
+        calls.append(form)
+        return _avoids_obstruction(theta2, form)
+
+    monkeypatch.setattr(analysis, "_avoids_obstruction", counting)
+    # F_101 first: the two-branch scan tests all 102 hyperplanes there, so this
+    # fails before F_(2^31-1), where that scan would build about 2^31 forms
+    for p in (101, 2**31 - 1):
+        field = Field(p)
+        x_euler = Derivation(HomogPoly.monomial(field, 2, 2), HomogPoly(field, [0, 1, 0]))
+        for theta in (Derivation.euler(field), x_euler):
+            calls.clear()
+            start = time.perf_counter()
+            with pytest.raises(NoGenericFormError):
+                find_generic_form(theta, exclude=[LinearForm(field, 1, 1)])
+            assert len(calls) <= theta.degree + 3, (p, len(calls))
+            assert time.perf_counter() - start < 1
 
 
 # ----------------------------------------------------------------------

@@ -100,6 +100,27 @@ def test_invalid_multiplicities():
         Multiarrangement(RATIONALS, {x: "2"})
 
 
+def test_multiarrangement_takes_only_a_mapping():
+    x, y, _ = x_y_xy()
+    consumed = []
+
+    def pairs():
+        consumed.append(True)
+        yield x, 1
+
+    for bad in ([(x, 1), (y, 2)], [], ((x, 1),), pairs(), 5):
+        with pytest.raises(ValueError, match="must be a mapping"):
+            Multiarrangement(RATIONALS, bad)
+    assert not consumed  # refused before a single pair is read
+
+    class ItemsOnly:
+        def items(self):
+            return [(x, 2), (y, 1)]
+
+    assert Multiarrangement(RATIONALS, ItemsOnly()) == Multiarrangement(RATIONALS, {x: 2, y: 1})
+    assert Multiarrangement(RATIONALS, None) == Multiarrangement(RATIONALS, {}) == Multiarrangement(RATIONALS)
+
+
 def test_duplicate_forms_rejected():
     # (2, 0) normalizes to the same hyperplane as (1, 0)
     pairs = [(LinearForm(RATIONALS, 1, 0), 1), (LinearForm(RATIONALS, 2, 0), 2)]

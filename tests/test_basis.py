@@ -262,7 +262,7 @@ def test_window_sum_combination_matches_dense_product(field, d, small, big_seed,
     small = HomogPoly(field, small)
     big = HomogPoly(field, big_seed[: small.degree + d + 1])
     q_coeffs = (num,) + (den,) * d if ax else (0,) * d + (num,)
-    reference = big.scale(den) + HomogPoly._raw(field, d, q_coeffs) * small
+    reference = big.scale(den) + HomogPoly._raw(field, q_coeffs) * small
     out = _plus_q_times(big.coeffs, small.coeffs, num, den, ax, p)
     assert len(out) == big.degree + 1
     assert out == reference.coeffs
@@ -285,7 +285,7 @@ def _generic_reference(theta1, theta2, form, mult):
         ratio = Fraction(top, bottom)
         num, den = ratio.numerator, ratio.denominator
     q_coeffs = (num,) + (den,) * d if py else (0,) * d + (num,)
-    q = HomogPoly._raw(field, d, q_coeffs)
+    q = HomogPoly._raw(field, q_coeffs)
     return theta1.scale(den).plus_scaled(q, theta2).primitive()[0]
 
 

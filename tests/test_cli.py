@@ -14,12 +14,14 @@ from logvf import (
     Multiarrangement,
     PropositionReport,
     RATIONALS,
+    build_basis,
 )
 from logvf.cli import (
     CHAIN_TOTAL_LIMIT,
     FROBENIUS_TOTAL_LIMIT,
     PROP_TUPLE_LIMIT,
     PROP_WORK_LIMIT,
+    VERIFY_DEGREE_LIMIT,
     ParseError,
     _print_pair,
     main,
@@ -112,6 +114,22 @@ def test_exponents_command(tmp_path, capsys):
     assert capsys.readouterr().out == "exponents: {5, 2}\n"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "field Q\n1 0 1\n0 1 1\n1 1 1\n",
+        "field Q\n0 1 3\n1 0 2\n1 -1 2\n2 1 3\n",
+        "field F 7\n0 1 2\n1 0 3\n1 3 2\n1 5 2\n",
+        "field F 2147483647\n0 1 4\n1 0 4\n1 1 3\n1 2 5\n",
+    ],
+)
+def test_exponents_command_balanced_runs_the_chain(tmp_path, capsys, text):
+    arrangement = parse_arrangement_text(text)
+    d1, d2 = build_basis(arrangement).degrees()
+    assert main(["exponents", write(tmp_path, text)]) == 0
+    assert capsys.readouterr().out == f"exponents: {{{d1}, {d2}}}\n"
+
+
 def test_exponents_command_dominant_line_uses_closed_form(tmp_path, capsys, monkeypatch):
     def no_chain(arrangement):
         raise AssertionError("the chain is quadratic in |mu| for a dominant line")
@@ -154,6 +172,35 @@ def test_verify_command_accepts_and_rejects(tmp_path, capsys):
     assert swapped == 1
     out = capsys.readouterr().out
     assert "theta1 in D(A, mu): false" in out and "theta2 in D(A, mu): true" in out
+
+
+def test_verify_command_degree_limit(tmp_path, capsys, monkeypatch):
+    # every basis logvf prints (frobenius goes up to |mu| = 4096) stays verifiable
+    assert VERIFY_DEGREE_LIMIT >= FROBENIUS_TOTAL_LIMIT
+
+    def no_product(*a):
+        raise AssertionError("nothing may be multiplied above the degree limit")
+
+    monkeypatch.setattr("logvf.cli.saito_determinant", no_product)
+    monkeypatch.setattr(Derivation, "is_member", no_product)
+    path = write(tmp_path, "field Q\n1 0 1\n")
+    big = f"{VERIFY_DEGREE_LIMIT + 1}:" + ",".join(["1"] * (VERIFY_DEGREE_LIMIT + 2))
+    for theta1, theta2 in [(f"{big};{big}", "0:0;0:1"), ("0:1;0:0", f"{big};0:0")]:
+        start = time.perf_counter()
+        assert main(["verify", path, "--theta1", theta1, "--theta2", theta2]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: verify is limited to degree <= {VERIFY_DEGREE_LIMIT}, got {VERIFY_DEGREE_LIMIT + 1}\n"
+
+
+def test_verify_command_accepts_the_degree_limit_itself(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("logvf.cli.VERIFY_DEGREE_LIMIT", 2)
+    path = write(tmp_path, "field Q\n1 0 2\n")  # basis x^2 dx, dy
+    assert main(["verify", path, "--theta1", "2:0,0,1;2:0,0,0", "--theta2", "0:0;0:1"]) == 0
+    assert "basis: true" in capsys.readouterr().out
+    assert main(["verify", path, "--theta1", "3:0,0,0,1;3:0,0,0,0", "--theta2", "0:0;0:1"]) == 2
+    assert "degree <= 2, got 3" in capsys.readouterr().err
 
 
 def test_verify_command_bad_derivation_text(tmp_path, capsys):
@@ -332,6 +379,9 @@ def test_frobenius_command_bad_input(capsys):
     assert main(["frobenius", "2", "0", "--shifts", "1,0"]) == 2
     assert "3 comma-separated values" in capsys.readouterr().err
     assert main(["frobenius", "2", "0", "--shifts", "9,0,0"]) == 2
+    capsys.readouterr()
+    assert main(["frobenius", "2", "0", "--shifts", "0,1/2,x"]) == 2
+    assert capsys.readouterr().err == "error: --shifts values must be integers\n"
 
 
 @pytest.mark.parametrize(
@@ -378,6 +428,14 @@ def test_prop_experiment_unwritable_out_fails_before_the_sweep(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
     assert not (tmp_path / "missing_dir").exists()
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 3), (5, 3), (-2, -1)])
+def test_prop_experiment_bad_box_leaves_no_report(tmp_path, capsys, lo, hi):
+    out = tmp_path / "r.csv"
+    assert main(["prop-experiment", "--lo", str(lo), "--hi", str(hi), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: need 1 <= lo <= hi\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
