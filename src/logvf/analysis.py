@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
+from operator import itemgetter
 
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
 from .basis import BasisPair, Branch, _line, _pair, _ramp, _ramp_degrees, _run_chain, verify_basis
@@ -220,6 +221,12 @@ def frobenius_basis(p: int, i: int, shifts=None) -> BasisPair:
 # ----------------------------------------------------------------------
 
 _EXPERIMENT_COEFFS = ((1, 1), (1, -1), (1, 0), (0, 1))  # x+y, x-y, x, y
+# the permutations of those positions that keep the pairs {x+y, x-y} and {x, y}
+_SYMMETRIES = [s for s in permutations(range(4)) if sorted(s[:2]) in ([0, 1], [2, 3])]
+# x+y, x, y, x-y: the walk order measured fastest on cubes [lo, lo+1]^4.  A representative
+# then has the pair {x, y} in the middle, sorted, which prunes more nodes than the other
+# layout, and x and y, whose products and divisions are slices, take the costly middle levels
+_WALK_ORDER = (0, 2, 3, 1)
 
 
 def _odd_pair_with_gap(a: int, b: int, offset: int) -> bool:
@@ -314,36 +321,43 @@ def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
     total weight fall outside the classification's hypothesis and are reported
     with ``agrees`` empty.
 
-    Tuples that agree on a prefix of the canonical line order share those
-    steps of the chain, so the lines are ramped depth-first: each one from 0
-    to ``hi``, descending to the next line at every multiplicity >= ``lo``.
-    The first three lines make exactly the steps :func:`build_basis` makes;
-    a row needs only the degrees, so the last line is ramped by
-    :func:`basis._ramp_degrees`.  The walk builds no derivation object.
+    The maps (x, y) -> (x, -y), (y, x) and (x+y, x-y) permute the four lines
+    as the 8 permutations that keep the pairs {x+y, x-y} and {x, y}.  A linear
+    change of coordinates keeps degrees, so every tuple takes the exponents of
+    its orbit's representative: the orbit member largest in walk order.  The
+    walk ramps x+y, x, y, then x-y, depth-first and sharing prefixes; it
+    descends only into prefixes of representatives and ramps each line only
+    as far as a representative below the prefix needs.  A row needs only the
+    degrees, so the last line is ramped by :func:`basis._ramp_degrees`.  The
+    walk builds no derivation object.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     field = Field(0)
-    forms = [LinearForm(field, a, b) for a, b in _EXPERIMENT_COEFFS]
-    order = sorted(range(len(forms)), key=lambda i: forms[i].sort_key())
-    lines = [_line(forms[i]) for i in order]
+    lines = [_line(LinearForm(field, *_EXPERIMENT_COEFFS[i])) for i in _WALK_ORDER]
+    views = [itemgetter(*[s[i] for i in _WALK_ORDER]) for s in _SYMMETRIES]
+    box = list(product(range(lo, hi + 1), repeat=4))
+    reps = [max(view(mu) for view in views) for mu in box]
+    upto = {}  # prefix of a representative -> the largest next multiplicity below it
+    for rep in set(reps):
+        for k in range(4):
+            upto[rep[:k]] = max(upto.get(rep[:k], 0), rep[k])
     degrees = {}
 
     def walk(theta1, theta2, prefix):
-        line = lines[len(prefix)]
-        if len(prefix) == len(lines) - 1:
-            for mult, pair in enumerate(_ramp_degrees(theta1, theta2, line, hi), start=1):
-                if mult >= lo:
-                    degrees[prefix + (mult,)] = tuple(sorted(pair, reverse=True))
+        line, top = lines[len(prefix)], upto[prefix]
+        if len(prefix) == 3:
+            for mult, pair in enumerate(_ramp_degrees(theta1, theta2, line, top), start=1):
+                degrees[prefix + (mult,)] = tuple(sorted(pair, reverse=True))
             return
-        for mult, (new1, new2, _) in enumerate(_ramp(theta1, theta2, line, hi), start=1):
-            if mult >= lo:
+        for mult, (new1, new2, _) in enumerate(_ramp(theta1, theta2, line, top), start=1):
+            if prefix + (mult,) in upto:
                 walk(new1, new2, prefix + (mult,))
 
     walk(((1,), (0,)), ((0,), (1,)), ())
     rows = []
-    for mu in product(range(lo, hi + 1), repeat=4):
-        d1, d2 = degrees[tuple(mu[i] for i in order)]
+    for mu, rep in zip(box, reps):
+        d1, d2 = degrees[rep]
         total = sum(mu)
         rows.append(
             ExperimentRow(

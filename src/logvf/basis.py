@@ -50,6 +50,17 @@ class BasisPair:
     def determinant(self) -> HomogPoly:
         return saito_determinant(self.theta1, self.theta2)
 
+    def independent(self) -> bool:
+        """Whether the determinant is nonzero, without forming it.
+
+        Its coefficients are read one at a time, lowest power of x first, up
+        to the first nonzero one: O(D1*D2) work for a zero determinant, and
+        for a basis, which has c * prod(alpha^m) as determinant, the scan
+        stops at x^k with k the multiplicity of x.
+        """
+        degree = sum(self.degrees())
+        return any(_determinant_coefficient(*self, k) for k in range(degree + 1))
+
     def __iter__(self):
         return iter((self.theta1, self.theta2))
 
@@ -87,11 +98,16 @@ def verify_basis(pair: BasisPair, arrangement: Multiarrangement) -> bool:
     if not (theta1.is_member(arrangement) and theta2.is_member(arrangement)):
         return False
     k = next((m for form, m in arrangement.items() if not form.ay), 0)
+    return bool(_determinant_coefficient(theta1, theta2, k))
+
+
+def _determinant_coefficient(theta1: Derivation, theta2: Derivation, k: int):
+    """The x^k coefficient of the determinant f1*g2 - f2*g1, an O(deg) sum (reduced mod p)."""
     f1, g1, f2, g2 = theta1.f.coeffs, theta1.g.coeffs, theta2.f.coeffs, theta2.g.coeffs
     span = range(max(0, k - theta2.degree), min(k, theta1.degree) + 1)
     c = sum(f1[i] * g2[k - i] - g1[i] * f2[k - i] for i in span)
-    p = pair.field.characteristic
-    return bool(c % p if p else c)
+    p = theta1.field.characteristic
+    return c % p if p else c
 
 
 def _line(form: LinearForm):

@@ -18,6 +18,7 @@ from logvf import (
     all_hyperplanes,
     build_basis,
     exponents,
+    exponents_by_oracle,
     find_generic_form,
     frobenius_arrangement,
     frobenius_basis,
@@ -368,6 +369,66 @@ def four_lines(mu):
     )
 
 
+SWEEP_COEFFS = ((1, 1), (1, -1), (1, 0), (0, 1))
+# the coordinate changes (x, y) -> (x, -y), (y, x) and (x+y, x-y), each taking the form
+# a*x + b*y to its composite with the map
+SWEEP_MAPS = (lambda a, b: (a, -b), lambda a, b: (b, a), lambda a, b: (a + b, a - b))
+
+
+def sweep_symmetries():
+    """The permutations of the sweep's line positions generated by SWEEP_MAPS."""
+    lines = [LinearForm(RATIONALS, a, b) for a, b in SWEEP_COEFFS]
+    generators = [
+        tuple(lines.index(LinearForm(RATIONALS, *m(a, b))) for a, b in SWEEP_COEFFS) for m in SWEEP_MAPS
+    ]
+    group = {(0, 1, 2, 3)}
+    while True:
+        grown = group | {tuple(s[t] for t in g) for s in group for g in generators}
+        if grown == group:
+            return group
+        group = grown
+
+
+def orbit(mu):
+    return {tuple(mu[i] for i in s) for s in sweep_symmetries()}
+
+
+def test_sweep_symmetries_keep_exponents():
+    group = sweep_symmetries()
+    assert len(group) == 8 and group == set(analysis._SYMMETRIES)
+    rng = random.Random(11)
+    tuples = [tuple(rng.randint(1, 60) for _ in range(4)) for _ in range(16)]
+    for _ in range(8):  # one line carries at least half of |mu|
+        rest = [rng.randint(1, 20) for _ in range(3)]
+        mu = rest + [rng.randint(sum(rest), 60)]
+        rng.shuffle(mu)
+        tuples.append(tuple(mu))
+    assert sum(2 * max(mu) >= sum(mu) for mu in tuples) >= 8
+    for mu in tuples:
+        expected = exponents(four_lines(mu))
+        for image in orbit(mu):
+            assert exponents(four_lines(image)) == expected, (mu, image)
+            assert predicted_difference_two(image) == predicted_difference_two(mu)
+
+
+def test_experiment_rows_match_exponents():
+    report = proposition_experiment(lo=18, hi=21)
+    assert report.tuple_count == 4**4
+    for r in report.rows:
+        assert (r.d1, r.d2) == exponents(four_lines(r.mu)), r.mu
+
+
+def test_experiment_known_prediction_misses():
+    """On [1, 15]^4 the parity formula misses exactly two orbits, both with exponents (16, 14)."""
+    misses = proposition_experiment(lo=1, hi=15).disagreements
+    assert {r.mu for r in misses} == orbit((2, 9, 8, 11)) | orbit((4, 7, 6, 13))
+    assert len(misses) == 16
+    for r in misses:
+        assert (r.d1, r.d2, r.predicted_two, r.hypothesis_ok) == (16, 14, False, True)
+    for mu in ((2, 9, 8, 11), (4, 7, 6, 13)):
+        assert exponents_by_oracle(four_lines(mu)) == (16, 14)
+
+
 @pytest.mark.parametrize(
     "mu",
     [
@@ -436,9 +497,13 @@ def test_experiment_csv_is_unchanged(tmp_path, lo, hi):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == EXPERIMENT_CSV_SHA256[(lo, hi)]
 
 
-@pytest.mark.parametrize("lo, hi, steps", [(20, 21, 147), (3, 5, 65)])
-def test_experiment_builds_no_derivation_on_the_last_line(monkeypatch, lo, hi, steps):
-    """The walk ramps hi steps per node of the first three lines: (1 + w + w^2) * hi."""
+# _step calls of the orbit walk, which prunes nodes and shortens ramps
+PRUNED_STEPS = {(20, 21): 123, (3, 5): 39}
+
+
+@pytest.mark.parametrize("lo, hi, unpruned", [(20, 21, 147), (3, 5, 65)])
+def test_experiment_builds_no_derivation_on_the_last_line(monkeypatch, lo, hi, unpruned):
+    """Only the first three lines step, fewer times than hi steps per node of a full walk."""
     calls = []
     step = basis._step
 
@@ -449,7 +514,8 @@ def test_experiment_builds_no_derivation_on_the_last_line(monkeypatch, lo, hi, s
     monkeypatch.setattr(basis, "_step", counting)
     proposition_experiment(lo=lo, hi=hi)
     w = hi - lo + 1
-    assert len(calls) == (1 + w + w * w) * hi == steps
+    assert (1 + w + w * w) * hi == unpruned
+    assert len(calls) == PRUNED_STEPS[(lo, hi)] < unpruned
 
 
 def test_experiment_walk_builds_no_polynomial_or_derivation(monkeypatch):

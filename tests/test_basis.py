@@ -524,3 +524,54 @@ def test_verify_basis_rejects_dependent_members(monkeypatch, field):
         assert all(theta.is_member(arrangement) for theta in dependent)
         assert verify_basis(pair, arrangement)
         assert not verify_basis(dependent, arrangement)
+
+
+def random_derivation(rng, field, degree):
+    """A nonzero derivation of the given degree with sparse, mixed-size coefficients."""
+    p = field.characteristic
+
+    def coeff():
+        c = rng.choice([0, 0, rng.randint(-5, 5), rng.randint(-10**6, 10**6)])
+        return Fraction(c, rng.randint(2, 5)) if not p and rng.random() < 0.2 else c
+
+    while True:
+        f, g = (HomogPoly(field, [coeff() for _ in range(degree + 1)]) for _ in range(2))
+        if not (f.is_zero() and g.is_zero()):
+            return Derivation(f, g)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(2**31 - 1)], ids=str)
+def test_independent_matches_the_determinant(monkeypatch, field):
+    rng = random.Random(47)
+    top = 3 * field.characteristic if 0 < field.characteristic < 20 else 20
+    pairs = []
+    for _ in range(150):
+        kind = rng.randrange(3)
+        theta = random_derivation(rng, field, rng.randint(0, top))
+        if kind == 0:  # unrelated members
+            other = random_derivation(rng, field, rng.randint(0, top))
+        elif kind == 1:  # q * theta: a zero determinant
+            q = random_derivation(rng, field, rng.randint(0, 8)).f
+            if q.is_zero():
+                q = HomogPoly.constant(field, 3)
+            other = Derivation(q * theta.f, q * theta.g)
+        else:  # a common factor form^j, so form^(2j) divides the determinant
+            form = rng.choice(small_forms(field))
+            other = random_derivation(rng, field, rng.randint(0, top))
+            for _ in range(rng.randint(1, 6)):
+                theta, other = theta.times_linear(form), other.times_linear(form)
+        pairs.append((theta, other, not saito_determinant(theta, other).is_zero()))
+    for d1, d2 in [(0, 0), (3, 1), (9, 9), (top, 2)]:  # determinant x^D: only its top coefficient
+        theta = Derivation(HomogPoly.monomial(field, d1, d1), HomogPoly.zero(field, d1))
+        pairs.append((theta, Derivation(HomogPoly.zero(field, d2), HomogPoly.monomial(field, d2, d2)), True))
+    assert 40 <= sum(expected for _, _, expected in pairs) <= 110
+    if 0 < field.characteristic < top:  # degrees above p, where x^p - x*y^(p-1) vanishes pointwise
+        assert sum(max(t.degree, o.degree) > field.characteristic for t, o, _ in pairs) >= 50
+
+    def refuse(self, other):
+        raise AssertionError("dense product in independent()")
+
+    monkeypatch.setattr(HomogPoly, "__mul__", refuse)
+    for theta, other, expected in pairs:
+        assert BasisPair(theta, other).independent() == expected
+        assert BasisPair(other, theta).independent() == expected

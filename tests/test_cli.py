@@ -181,7 +181,7 @@ def test_verify_command_degree_limit(tmp_path, capsys, monkeypatch):
     def no_product(*a):
         raise AssertionError("nothing may be multiplied above the degree limit")
 
-    monkeypatch.setattr("logvf.cli.saito_determinant", no_product)
+    monkeypatch.setattr(BasisPair, "independent", no_product)
     monkeypatch.setattr(Derivation, "is_member", no_product)
     path = write(tmp_path, "field Q\n1 0 1\n")
     big = f"{VERIFY_DEGREE_LIMIT + 1}:" + ",".join(["1"] * (VERIFY_DEGREE_LIMIT + 2))
