@@ -14,7 +14,7 @@ from itertools import accumulate, chain, islice, repeat
 from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
-from .derivation import Derivation, apply, primitive, saito_determinant
+from .derivation import Derivation, apply, determinant_coefficient, primitive, saito_determinant
 from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw, times_linear
 
 
@@ -58,8 +58,9 @@ class BasisPair:
         for a basis, which has c * prod(alpha^m) as determinant, the scan
         stops at x^k with k the multiplicity of x.
         """
-        degree = sum(self.degrees())
-        return any(_determinant_coefficient(*self, k) for k in range(degree + 1))
+        theta1, theta2, p = self.theta1, self.theta2, self.field.characteristic
+        members = theta1.f.coeffs, theta1.g.coeffs, theta2.f.coeffs, theta2.g.coeffs
+        return any(determinant_coefficient(*members, k, p) for k in range(sum(self.degrees()) + 1))
 
     def __iter__(self):
         return iter((self.theta1, self.theta2))
@@ -98,16 +99,8 @@ def verify_basis(pair: BasisPair, arrangement: Multiarrangement) -> bool:
     if not (theta1.is_member(arrangement) and theta2.is_member(arrangement)):
         return False
     k = next((m for form, m in arrangement.items() if not form.ay), 0)
-    return bool(_determinant_coefficient(theta1, theta2, k))
-
-
-def _determinant_coefficient(theta1: Derivation, theta2: Derivation, k: int):
-    """The x^k coefficient of the determinant f1*g2 - f2*g1, an O(deg) sum (reduced mod p)."""
-    f1, g1, f2, g2 = theta1.f.coeffs, theta1.g.coeffs, theta2.f.coeffs, theta2.g.coeffs
-    span = range(max(0, k - theta2.degree), min(k, theta1.degree) + 1)
-    c = sum(f1[i] * g2[k - i] - g1[i] * f2[k - i] for i in span)
-    p = theta1.field.characteristic
-    return c % p if p else c
+    members = theta1.f.coeffs, theta1.g.coeffs, theta2.f.coeffs, theta2.g.coeffs
+    return bool(determinant_coefficient(*members, k, pair.field.characteristic))
 
 
 def _line(form: LinearForm):

@@ -12,7 +12,6 @@ import argparse
 import sys
 
 from .analysis import (
-    NoGenericFormError,
     frobenius_arrangement,
     frobenius_basis,
     proposition_experiment,
@@ -310,7 +309,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, NoGenericFormError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -38,6 +38,13 @@ def primitive(f, g):
     return tuple([c // k for c in f]), tuple([c // k for c in g]), k
 
 
+def determinant_coefficient(f1, g1, f2, g2, k, p):
+    """The x^k coefficient of the determinant ``f1*g2 - f2*g1``, an O(deg) sum (reduced mod p)."""
+    span = range(max(0, k - len(f2) + 1), min(k, len(f1) - 1) + 1)
+    c = sum(f1[i] * g2[k - i] - g1[i] * f2[k - i] for i in span)
+    return c % p if p else c
+
+
 class Derivation:
     """A nonzero homogeneous derivation with coefficient polynomials ``f`` and ``g``.
 
@@ -113,9 +120,6 @@ class Derivation:
     def times_linear(self, form: LinearForm) -> "Derivation":
         return Derivation(self.f.times_linear(form), self.g.times_linear(form))
 
-    def scale(self, c) -> "Derivation":
-        return Derivation(self.f.scale(c), self.g.scale(c))
-
     def plus_scaled(self, q: HomogPoly, other: "Derivation") -> "Derivation":
         """The derivation ``self + q * other``; degrees must line up exactly.
 
@@ -173,7 +177,10 @@ class Derivation:
 
 
 def saito_determinant(theta1: Derivation, theta2: Derivation) -> HomogPoly:
-    """The coefficient determinant ``f1*g2 - f2*g1`` (may be the zero polynomial)."""
+    """The determinant ``f1*g2 - f2*g1`` at degree D1 + D2, also when zero: O(D1*D2) work."""
     if theta1.field != theta2.field:
         raise ValueError("derivations live over different fields")
-    return theta1.f * theta2.g - theta2.f * theta1.g
+    p, degree = theta1.field.characteristic, theta1.degree + theta2.degree
+    members = theta1.f.coeffs, theta1.g.coeffs, theta2.f.coeffs, theta2.g.coeffs
+    det = tuple([determinant_coefficient(*members, k, p) for k in range(degree + 1)])
+    return HomogPoly._raw(theta1.field, det if p else _collapse(det))

@@ -12,8 +12,11 @@ an integer polynomial it divides has an integer quotient, found by exact
 integer division by the leading coefficient.
 
 Each kernel is one function on a coefficient tuple ``cs``, a form a*x + b*y
-and the characteristic ``p`` (0 for Q).  The basis chain calls the kernels
-directly; the :class:`HomogPoly` methods wrap them for callers with objects.
+and the characteristic ``p`` (0 for Q); the determinant's is
+``derivation.determinant_coefficient``.  ``HomogPoly.__add__``, ``__mul__``,
+``scale``, ``times_linear`` and ``_div_linear`` have no caller here but
+``Derivation.plus_scaled`` and ``times_linear``, which have none; all seven
+stay only because the ``perfbench/`` benchmark wraps them by name.
 """
 
 from __future__ import annotations
@@ -181,14 +184,6 @@ class HomogPoly:
             coeffs = _collapse(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
         return HomogPoly._raw(self.field, coeffs)
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        if not isinstance(other, HomogPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, HomogPoly):
             self._check_field(other)
@@ -203,7 +198,7 @@ class HomogPoly:
             p = self.field.characteristic
             out = tuple(c % p for c in out) if p else _collapse(tuple(out))
             return HomogPoly._raw(self.field, out)
-        return self.scale(other)
+        return NotImplemented  # scalars go through scale()
 
     def scale(self, c) -> "HomogPoly":
         """Multiply every coefficient by the scalar ``c``."""
@@ -216,8 +211,6 @@ class HomogPoly:
         else:
             coeffs = _collapse(tuple(a * raw for a in self.coeffs))
         return HomogPoly._raw(self.field, coeffs)
-
-    __rmul__ = scale
 
     def times_linear(self, form: LinearForm) -> "HomogPoly":
         """Multiply by a linear form (see :func:`times_linear`)."""
@@ -238,15 +231,6 @@ class HomogPoly:
         """One synthetic division step: returns (quotient, raw remainder scalar)."""
         q, r = div_linear(self.coeffs, form.ax, form.ay, self.field.characteristic)
         return HomogPoly._raw(self.field, q), r
-
-    def div_linear_power(self, form: LinearForm, power: int) -> "HomogPoly":
-        """Divide exactly by ``form ** power``; a remainder raises InexactDivisionError."""
-        if form.field != self.field:
-            raise ValueError("form belongs to a different field")
-        if power < 0:
-            raise ValueError("power must be nonnegative")
-        q = div_linear_power(self.coeffs, form.ax, form.ay, self.field.characteristic, power)
-        return HomogPoly._raw(self.field, q)
 
     # ------------------------------------------------------------------
     # rendering and round-trip text form

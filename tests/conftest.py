@@ -98,6 +98,27 @@ def random_difference_one_arrangement(rng):
             return arr
 
 
+def dense_product(a, b, p):
+    """The product of two coefficient tuples by a plain double loop (reduced mod p when p > 0).
+
+    A reference that shares no code with the library: it neither calls
+    ``HomogPoly.__mul__`` nor collapses integral Fractions to ints.
+    """
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(c % p for c in out) if p else tuple(out)
+
+
+def dense_determinant(theta1, theta2):
+    """The coefficient tuple of f1*g2 - f2*g1, from two :func:`dense_product` calls."""
+    p = theta1.field.characteristic
+    plus = dense_product(theta1.f.coeffs, theta2.g.coeffs, p)
+    minus = dense_product(theta2.f.coeffs, theta1.g.coeffs, p)
+    return tuple((s - t) % p if p else s - t for s, t in zip(plus, minus))
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance one-liners past pytest's output capture."""
     try:

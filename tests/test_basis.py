@@ -28,7 +28,7 @@ from logvf.basis import _line, _pair, _plus_q_times, _ramp, _ramp_degrees, _step
 from logvf.derivation import apply
 from logvf.poly import div_linear_power, eval_raw
 
-from conftest import sample_arrangements
+from conftest import dense_determinant, dense_product, sample_arrangements
 
 
 def x_dx(field=RATIONALS):
@@ -217,11 +217,10 @@ def test_step_quotients_stay_integral_over_q():
 
 def test_saito_determinant_is_defining_product():
     arr = Multiarrangement(RATIONALS, {X: 2, Y: 1, XY: 1})
-    det = build_basis(arr).determinant()
-    quotient = det
+    quotient = build_basis(arr).determinant().coeffs
     for form, mult in arr.items():
-        quotient = quotient.div_linear_power(form, mult)
-    assert quotient.degree == 0 and not quotient.is_zero()
+        quotient = div_linear_power(quotient, form.ax, form.ay, 0, mult)
+    assert len(quotient) == 1 and quotient[0]
 
 
 def test_field_mismatch_rejected():
@@ -273,8 +272,10 @@ def _generic_reference(theta1, theta2, form, mult):
     field = theta1.field
     p = field.characteristic
     px, py = form.point_raw()
-    f_val = theta1.apply(form).div_linear_power(form, mult).eval_raw(px, py)
-    g_val = theta2.apply(form).div_linear_power(form, mult).eval_raw(px, py)
+    f_val, g_val = (
+        eval_raw(div_linear_power(theta.apply(form).coeffs, form.ax, form.ay, p, mult), px, py, p)
+        for theta in (theta1, theta2)
+    )
     d = theta1.degree - theta2.degree
     # (den*f + q*g)(point) = 0 with q(point) = num*py^d + den*tail, or num*px^d
     tail = sum(px**j * py ** (d - j) for j in range(1, d + 1)) if py else 0
@@ -286,7 +287,8 @@ def _generic_reference(theta1, theta2, form, mult):
         num, den = ratio.numerator, ratio.denominator
     q_coeffs = (num,) + (den,) * d if py else (0,) * d + (num,)
     q = HomogPoly._raw(field, q_coeffs)
-    return theta1.scale(den).plus_scaled(q, theta2).primitive()[0]
+    scaled = Derivation(theta1.f.scale(den), theta1.g.scale(den))
+    return scaled.plus_scaled(q, theta2).primitive()[0]
 
 
 def test_generic_step_equals_dense_combination():
@@ -498,6 +500,15 @@ def test_only_non_monic_steps_evaluate(monkeypatch):
     assert 6 <= len(points) <= 12 and set(points) == {(1, -2)}
 
 
+def refuse_dense_products(monkeypatch, where):
+    """Make ``HomogPoly.__mul__`` raise, so that a dense product in ``where`` fails the test."""
+
+    def refuse(self, other):
+        raise AssertionError(f"dense product in {where}")
+
+    monkeypatch.setattr(HomogPoly, "__mul__", refuse)
+
+
 @pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(101)], ids=str)
 def test_verify_basis_rejects_dependent_members(monkeypatch, field):
     # (theta_low, alpha^gap * theta_low): members whose degrees add up to |mu|
@@ -516,10 +527,7 @@ def test_verify_basis_rejects_dependent_members(monkeypatch, field):
             assert dependent.determinant().is_zero()
             cases.append((arrangement, pair, dependent))
 
-    def refuse(self, other):
-        raise AssertionError("dense product in verify_basis")
-
-    monkeypatch.setattr(HomogPoly, "__mul__", refuse)
+    refuse_dense_products(monkeypatch, "verify_basis")
     for arrangement, pair, dependent in cases:
         assert all(theta.is_member(arrangement) for theta in dependent)
         assert verify_basis(pair, arrangement)
@@ -540,10 +548,15 @@ def random_derivation(rng, field, degree):
             return Derivation(f, g)
 
 
-@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(2**31 - 1)], ids=str)
-def test_independent_matches_the_determinant(monkeypatch, field):
+def degree_bound(field):
+    """The largest member degree of :func:`random_pairs`: 3p over F_p for p < 20, else 20."""
+    return 3 * field.characteristic if 0 < field.characteristic < 20 else 20
+
+
+def random_pairs(field):
+    """150 seeded pairs: unrelated members, q * theta (zero determinant) and common factors."""
     rng = random.Random(47)
-    top = 3 * field.characteristic if 0 < field.characteristic < 20 else 20
+    top, p = degree_bound(field), field.characteristic
     pairs = []
     for _ in range(150):
         kind = rng.randrange(3)
@@ -551,16 +564,23 @@ def test_independent_matches_the_determinant(monkeypatch, field):
         if kind == 0:  # unrelated members
             other = random_derivation(rng, field, rng.randint(0, top))
         elif kind == 1:  # q * theta: a zero determinant
-            q = random_derivation(rng, field, rng.randint(0, 8)).f
-            if q.is_zero():
-                q = HomogPoly.constant(field, 3)
-            other = Derivation(q * theta.f, q * theta.g)
+            q = random_derivation(rng, field, rng.randint(0, 8)).f.coeffs
+            if not any(q):
+                q = (3,)
+            other = Derivation(*(HomogPoly(field, dense_product(q, h.coeffs, p)) for h in (theta.f, theta.g)))
         else:  # a common factor form^j, so form^(2j) divides the determinant
             form = rng.choice(small_forms(field))
             other = random_derivation(rng, field, rng.randint(0, top))
             for _ in range(rng.randint(1, 6)):
                 theta, other = theta.times_linear(form), other.times_linear(form)
-        pairs.append((theta, other, not saito_determinant(theta, other).is_zero()))
+        pairs.append((theta, other))
+    return pairs
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(2**31 - 1)], ids=str)
+def test_independent_matches_the_determinant(monkeypatch, field):
+    top = degree_bound(field)
+    pairs = [(theta, other, any(dense_determinant(theta, other))) for theta, other in random_pairs(field)]
     for d1, d2 in [(0, 0), (3, 1), (9, 9), (top, 2)]:  # determinant x^D: only its top coefficient
         theta = Derivation(HomogPoly.monomial(field, d1, d1), HomogPoly.zero(field, d1))
         pairs.append((theta, Derivation(HomogPoly.zero(field, d2), HomogPoly.monomial(field, d2, d2)), True))
@@ -568,10 +588,36 @@ def test_independent_matches_the_determinant(monkeypatch, field):
     if 0 < field.characteristic < top:  # degrees above p, where x^p - x*y^(p-1) vanishes pointwise
         assert sum(max(t.degree, o.degree) > field.characteristic for t, o, _ in pairs) >= 50
 
-    def refuse(self, other):
-        raise AssertionError("dense product in independent()")
-
-    monkeypatch.setattr(HomogPoly, "__mul__", refuse)
+    refuse_dense_products(monkeypatch, "independent()")
     for theta, other, expected in pairs:
         assert BasisPair(theta, other).independent() == expected
         assert BasisPair(other, theta).independent() == expected
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(2**31 - 1)], ids=str)
+def test_determinant_matches_the_dense_product(monkeypatch, field):
+    p = field.characteristic
+    pairs = random_pairs(field)
+    references = [dense_determinant(theta, other) for theta, other in pairs]
+    assert sum(not any(det) for det in references) >= 40  # the q * theta pairs, among others
+    if p == 0:
+        # Fraction members, some of whose determinants have integral Fraction coefficients
+        assert sum(Fraction in map(type, t.f.coeffs + t.g.coeffs) for pair in pairs for t in pair) >= 100
+        assert sum(type(c) is Fraction and c.denominator == 1 for det in references for c in det) >= 100
+    elif p < degree_bound(field):
+        assert sum(max(t.degree, o.degree) > p for t, o in pairs) >= 50
+
+    refuse_dense_products(monkeypatch, "the determinant")
+    for (theta, other), reference in zip(pairs, references):
+        pair = BasisPair(theta, other)
+        for det, expected in [
+            (saito_determinant(theta, other), reference),
+            (pair.determinant(), dense_determinant(pair.theta1, pair.theta2)),
+        ]:
+            assert det.field == field
+            assert det.degree == theta.degree + other.degree == len(expected) - 1
+            assert det.coeffs == expected
+            if p:
+                assert all(type(c) is int and 0 <= c < p for c in det.coeffs)
+            else:  # integral coefficients come out as ints, as the chain keeps them
+                assert all(type(c) is int or c.denominator > 1 for c in det.coeffs)

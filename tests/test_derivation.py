@@ -127,7 +127,7 @@ def test_primitive_sign_convention():
 @given(st.fractions(min_value=-30, max_value=30, max_denominator=12).filter(lambda c: c != 0))
 def test_primitive_is_scaling_invariant(c):
     theta = D([6, "-9/2"], [0, 12])
-    scaled = theta.scale(c)
+    scaled = Derivation(theta.f.scale(c), theta.g.scale(c))
     assert scaled.primitive()[0] == theta.primitive()[0]
 
 
