@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from itertools import permutations, product
-from operator import itemgetter
 
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
-from .basis import BasisPair, Branch, _line, _pair, _ramp, _ramp_degrees, _run_chain, verify_basis
+from .basis import BasisPair, Branch, _line, _out_of_frame, _pair, _ramp, _ramp_degrees, _run_chain, verify_basis
 from .derivation import Derivation
 from .field import Field
 from .poly import HomogPoly, times_linear
@@ -229,6 +228,21 @@ _SYMMETRIES = [s for s in permutations(range(4)) if sorted(s[:2]) in ([0, 1], [2
 _WALK_ORDER = (0, 2, 3, 1)
 
 
+def _representative(mu):
+    """The member of mu's orbit that is largest in walk order, in walk order.
+
+    A symmetry sends the pairs {x+y, x-y} and {x, y} to themselves or to
+    each other, and the walk order x+y, x, y, x-y puts one pair at the ends
+    and the other in the middle.  With each pair sorted, hi >= lo, the
+    largest view leads with a pair's hi and the other pair's hi: the larger
+    of (hi1, hi2, lo2, lo1) and (hi2, hi1, lo1, lo2).
+    """
+    m1, m2, m3, m4 = mu
+    hi1, lo1 = (m1, m2) if m1 >= m2 else (m2, m1)
+    hi2, lo2 = (m3, m4) if m3 >= m4 else (m4, m3)
+    return max((hi1, hi2, lo2, lo1), (hi2, hi1, lo1, lo2))
+
+
 def _odd_pair_with_gap(a: int, b: int, offset: int) -> bool:
     """Whether b = 2k+1 for some k >= 0 and a = b + offset + 4h for some integer h."""
     return b >= 1 and b % 2 == 1 and (a - b - offset) % 4 == 0
@@ -335,9 +349,8 @@ def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
         raise ValueError("need 1 <= lo <= hi")
     field = Field(0)
     lines = [_line(LinearForm(field, *_EXPERIMENT_COEFFS[i])) for i in _WALK_ORDER]
-    views = [itemgetter(*[s[i] for i in _WALK_ORDER]) for s in _SYMMETRIES]
     box = list(product(range(lo, hi + 1), repeat=4))
-    reps = [max(view(mu) for view in views) for mu in box]
+    reps = list(map(_representative, box))
     upto = {}  # prefix of a representative -> the largest next multiplicity below it
     for rep in set(reps):
         for k in range(4):
@@ -352,7 +365,7 @@ def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
             return
         for mult, (new1, new2, _) in enumerate(_ramp(theta1, theta2, line, top), start=1):
             if prefix + (mult,) in upto:
-                walk(new1, new2, prefix + (mult,))
+                walk(_out_of_frame(new1, line), _out_of_frame(new2, line), prefix + (mult,))
 
     walk(((1,), (0,)), ((0,), (1,)), ())
     rows = []

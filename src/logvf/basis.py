@@ -14,8 +14,9 @@ from itertools import accumulate, chain, islice, repeat
 from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
-from .derivation import Derivation, apply, determinant_coefficient, primitive, saito_determinant
-from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw, times_linear
+from .derivation import Derivation, apply, determinant_coefficient, saito_determinant
+from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw
+from .poly import times_linear, times_linear_power
 
 
 class Branch(enum.Enum):
@@ -114,47 +115,116 @@ def _pair(field, theta1, theta2) -> BasisPair:
     return BasisPair(Derivation(*polys[:2]), Derivation(*polys[2:]))
 
 
-def _step(theta1, theta2, line, f_quot, g_quot):
+def _partner(a, b):
+    """``(c, e)`` with a*e - b*c = 1, for a primitive integer form a*x + b*y with a >= 2."""
+    c = -pow(b, -1, a)
+    return c, (1 + b * c) // a
+
+
+def _into_frame(theta, line):
+    """An ``(f, g)`` member as the ramp of a form alpha carries it: ``(theta(alpha), theta(beta))``.
+
+    beta is y for x + c*y, x for y, and :func:`_partner` for a non-monic
+    form, so det(alpha, beta) = +-1.  A non-monic form carries g too, whose
+    top coefficient signs the member: a*theta(beta) - c*theta(alpha) would
+    need theta(alpha) in full, as their tops cancel when y is in A.
+    """
+    f, g = theta
+    a, b, p = line
+    if not a:
+        return g, f
+    if not b:
+        return f, g
+    if a == 1:
+        return apply(f, g, a, b, p), g
+    return apply(f, g, a, b, p), apply(f, g, *_partner(a, b), p), g
+
+
+def _out_of_frame(member, line):
+    """The ``(f, g)`` of a member ``(theta(alpha)/alpha^k, theta(beta), ...)`` in the frame of ``line``.
+
+    k is the difference of the lengths (a zero quotient may be shorter).
+    """
+    u, v = member[:2]
+    a, b, p = line
+    h = times_linear_power(u, a, b, p, len(v) - len(u))  # theta(alpha)
+    if not a:
+        return v, h
+    if not b:
+        return h, v
+    if a == 1:  # f = theta(alpha) - b*g
+        if p:
+            return tuple([(s - b * t) % p for s, t in zip(h, v)]), v
+        return tuple([s - b * t for s, t in zip(h, v)]), v
+    e = _partner(a, b)[1]
+    return tuple([e * s - b * t for s, t in zip(h, v)]), member[2]
+
+
+def _primitive(member, line):
+    """A member over Q divided by the signed content of its ``(f, g)``, signed as ``derivation.primitive``.
+
+    The frame is unimodular and the form primitive, so by Gauss's lemma the
+    content of (f, g) is gcd(u, v).  The sign is that of g's highest nonzero
+    x-coefficient, else f's.  g is v for x + c*y, u*y^k for y and carried
+    for a non-monic form.  Where g is zero, f is u*alpha^k (over a for a
+    non-monic form), whose top coefficient has the sign of u's.
+    """
+    u, v = member[:2]
+    a = line[0]
+    g, f = (v, u) if a == 1 else (u, v) if not a else (member[2], u)
+    k = gcd(*u, *v)
+    if (next(filter(None, reversed(g)), 0) or next(filter(None, reversed(f)))) < 0:
+        k = -k
+    if k == 1:
+        return member
+    return tuple([tuple([c // k for c in cs]) for cs in member])
+
+
+def _step(theta1, theta2, line, div1=None, div2=None):
     """One multiplicity-raising update; the engine behind the public operations.
 
-    Members are ``(f, g)`` pairs of coefficient tuples of equal length and
-    ``line`` is :func:`_line` of the form.  (theta1, theta2) must be a basis
-    of D(A, mu) where the form has multiplicity mult, and ``f_quot``/``g_quot``
-    must equal theta_i(form) / form^mult.  The returned ``(theta1', theta2',
-    branch, f', g')`` holds a basis for mult + 1 and its quotients by
-    form^(mult+1), so a ramp never recomputes them.  Over Q both members must
-    be primitive integer derivations, like every member returned: by Gauss's
-    lemma their products with the primitive form stay primitive, with the
-    same sign, so only the generic combination is reduced and every value
-    stays an integer.  Every division is remainder-checked: a violated
-    precondition raises InexactDivisionError rather than giving a wrong answer.
+    ``line`` is :func:`_line` of a form alpha of multiplicity k, and each
+    member is a tuple ``(theta(alpha)/alpha^k, theta(beta), ...)`` in the
+    frame of :func:`_into_frame`; all but the quotient are linear images of
+    (f, g).  (theta1, theta2) must be a basis of D(A, mu); the returned
+    ``(theta1', theta2', branch, div1', div2')`` is a basis at k + 1 in the
+    same frame.  A ``div`` is None or the division of that member's quotient
+    by alpha that :func:`_advance` already made; a step hands on the one of
+    the quotient it leaves unchanged.  Over Q both members must be primitive
+    integer derivations, like every member returned: by Gauss's lemma their
+    products with the primitive form stay primitive, with the same sign, so
+    only the generic combination is reduced and every value stays an
+    integer.  Every division is remainder-checked: a violated precondition
+    raises InexactDivisionError rather than giving a wrong answer.
     """
-    if len(theta1[0]) < len(theta2[0]):
-        theta1, theta2 = theta2, theta1
-        f_quot, g_quot = g_quot, f_quot
-    (f1, g1), (f2, g2) = theta1, theta2
+    if len(theta1[1]) < len(theta2[1]):
+        theta1, theta2, div1, div2 = theta2, theta1, div2, div1
     a, b, p = line
-    branch, f_quot, g_quot, num, den = _advance(f_quot, g_quot, line, len(f1) - len(f2))
+    d = len(theta1[1]) - len(theta2[1])
+    branch, u1, u2, num, den, div = _advance(theta1[0], theta2[0], line, d, div1, div2)
     if branch is Branch.G_VANISHING:
-        return (times_linear(f1, a, b, p), times_linear(g1, a, b, p)), theta2, branch, f_quot, g_quot
-    theta2 = (times_linear(f2, a, b, p), times_linear(g2, a, b, p))
+        theta1 = (u1, *[times_linear(t, a, b, p) for t in theta1[1:]])
+        return theta1, (u2, *theta2[1:]), branch, div, None
+    images = theta2[1:]
+    theta2 = (u2, *[times_linear(t, a, b, p) for t in images])
     if branch is Branch.F_VANISHING:
-        return theta1, theta2, branch, f_quot, g_quot
-    f1, g1 = _plus_q_times(f1, f2, num, den, a, p), _plus_q_times(g1, g2, num, den, a, p)
+        return (u1, *theta1[1:]), theta2, branch, None, div
+    theta1 = (u1, *[_plus_q_times(s, t, num, den, a, p) for s, t in zip(theta1[1:], images)])
     if not p:  # primitive() is the identity over F_p
-        f1, g1, k = primitive(f1, g1)
-        if k != 1:
-            # primitive() divided theta1' by an integer content; f' follows exactly
-            f_quot = tuple([c // k for c in f_quot])
-    return (f1, g1), theta2, branch, f_quot, g_quot
+        theta1 = _primitive(theta1, line)
+    return theta1, theta2, branch, None, div
 
 
-def _advance(f_quot, g_quot, line, d):
-    """:func:`_step` on the quotients alone: ``(branch, f', g', num, den)``.
+def _advance(f_quot, g_quot, line, d, f_div=None, g_div=None):
+    """:func:`_step` on the quotients alone: ``(branch, f', g', num, den, div)``.
 
     The quotients belong to a pair whose degrees differ by ``d`` >= 0,
-    larger first.  A generic f' is (den*f + q*g) / form, not yet reduced;
-    num and den, which fix q, are None in the other branches.
+    larger first, and ``f_div``/``g_div`` are None or their divisions by the
+    form: ``(quotient, remainder)``, or ``(None, value)`` for a non-monic
+    form.  A generic f' is (den*f + q*g) / form, not yet reduced; num and
+    den, which fix q, are None in the other branches.  ``div`` is the
+    division of the quotient left unchanged: f's (``f_div``) on a
+    g-vanishing step, g's otherwise.
 
     A monic form (every form over F_p; y and x + c*y over Q) divides each
     quotient once and branches on the remainder r: h = form*Q + r*y^deg is
@@ -167,19 +237,19 @@ def _advance(f_quot, g_quot, line, d):
     ax, ay, p = line
     px, py = ay, -ax % p if p else -ax
     monic = ax < 2
-    qg, g_val = div_linear(g_quot, ax, ay, p) if monic else (None, eval_raw(g_quot, px, py, p))
+    qg, g_val = g_div or (div_linear(g_quot, ax, ay, p) if monic else (None, eval_raw(g_quot, px, py, p)))
 
     if not g_val:
         # form^(mult+1) already divides theta2(form): multiply theta1 instead
         g_quot = qg if monic else div_linear_power(g_quot, ax, ay, p, 1)
-        return Branch.G_VANISHING, f_quot, g_quot, None, None
+        return Branch.G_VANISHING, f_quot, g_quot, None, None, f_div
 
-    qf, f_val = div_linear(f_quot, ax, ay, p) if monic else (None, eval_raw(f_quot, px, py, p))
+    qf, f_val = f_div or (div_linear(f_quot, ax, ay, p) if monic else (None, eval_raw(f_quot, px, py, p)))
 
     if not f_val:
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
         f_quot = qf if monic else div_linear_power(f_quot, ax, ay, p, 1)
-        return Branch.F_VANISHING, f_quot, g_quot, None, None
+        return Branch.F_VANISHING, f_quot, g_quot, None, None, (qg, g_val)
 
     # generic case: clear the obstruction with den*theta1 + q*theta2, for the
     # q of _plus_q_times, and num/den making (den*f + q*g)(point) = 0
@@ -202,7 +272,7 @@ def _advance(f_quot, g_quot, line, d):
         num, den = num // c, den // c
     if not monic:
         f_quot = div_linear_power(_plus_q_times(f_quot, g_quot, num, den, ax, p), ax, ay, p, 1)
-        return Branch.GENERIC, f_quot, g_quot, num, den
+        return Branch.GENERIC, f_quot, g_quot, num, den, (qg, g_val)
 
     # synthetic division of the bracket from x^d (each coefficient above y^d
     # is den*rg) gives den*t_j on x^j y^(d-1-j), t_(d-1) = rg and t_(j-1) =
@@ -218,7 +288,7 @@ def _advance(f_quot, g_quot, line, d):
     if r % p if p else r:
         raise InexactDivisionError(f"({ax}*x + {ay}*y) does not divide the generic combination")
     f_quot = _plus_q_times(qf, qg, num, den, ax, p)
-    return Branch.GENERIC, f_quot, g_quot, num, den
+    return Branch.GENERIC, f_quot, g_quot, num, den, (qg, g_val)
 
 
 def _plus_q_times(B, h, num, den, ax, p):
@@ -269,23 +339,27 @@ def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
         raise ValueError("form and pair live over different fields")
     if mult < 0:
         raise ValueError("multiplicity must be nonnegative")
-    theta1, theta2 = ((t.f.coeffs, t.g.coeffs) for t in (theta.primitive()[0] for theta in pair))
     a, b, p = line = _line(form)
-    quotients = (div_linear_power(apply(*theta, a, b, p), a, b, p, mult) for theta in (theta1, theta2))
-    theta1, theta2, _, _, _ = _step(theta1, theta2, line, *quotients)
-    return _pair(pair.field, theta1, theta2)
+    members = []
+    for theta in (theta.primitive()[0] for theta in pair):
+        u, *images = _into_frame((theta.f.coeffs, theta.g.coeffs), line)
+        members.append((div_linear_power(u, a, b, p, mult), *images))
+    theta1, theta2, _, _, _ = _step(*members, line)
+    return _pair(pair.field, *(_out_of_frame(theta, line) for theta in (theta1, theta2)))
 
 
 def _ramp(theta1, theta2, line, upto):
     """Raise the multiplicity of a hyperplane from 0 to ``upto``, one step at a time.
 
-    (theta1, theta2) must be a basis of an arrangement without it.  Yields
-    ``(theta1', theta2', branch)``, the k-th pair a basis at multiplicity k,
-    carrying the quotients of :func:`_step` from one step to the next.
+    (theta1, theta2) must be ``(f, g)`` members of a basis of an arrangement
+    without it.  Yields ``(theta1', theta2', branch)``, the k-th pair a basis
+    at multiplicity k in the frame of :func:`_into_frame`, whose ``(f, g)``
+    :func:`_out_of_frame` rebuilds; each step hands on its division.
     """
-    f_quot, g_quot = (apply(*theta, *line) for theta in (theta1, theta2))
+    theta1, theta2 = _into_frame(theta1, line), _into_frame(theta2, line)
+    div1 = div2 = None
     for _ in range(upto):
-        theta1, theta2, branch, f_quot, g_quot = _step(theta1, theta2, line, f_quot, g_quot)
+        theta1, theta2, branch, div1, div2 = _step(theta1, theta2, line, div1, div2)
         yield theta1, theta2, branch
 
 
@@ -294,16 +368,21 @@ def _ramp_degrees(theta1, theta2, line, upto):
 
     Over Q a generic f' is divided by its own content, not theta1's.  That
     picks another basis, but degrees move only by the g-vanishing test on
-    the lower member, which the two bases share up to a scalar.
+    the lower member, which the two bases share up to a scalar.  As in
+    :func:`_ramp`, each step hands on the division of the quotient it keeps.
     """
     a, b, p = line
     d1, d2 = len(theta1[0]) - 1, len(theta2[0]) - 1
     f, g = (apply(*theta, a, b, p) for theta in (theta1, theta2))
+    f_div = g_div = None
     for _ in range(upto):
         if d1 < d2:
-            d1, d2, f, g = d2, d1, g, f
-        branch, f, g, _, _ = _advance(f, g, line, d1 - d2)
-        d1, d2 = (d1 + 1, d2) if branch is Branch.G_VANISHING else (d1, d2 + 1)
+            d1, d2, f, g, f_div, g_div = d2, d1, g, f, g_div, f_div
+        branch, f, g, _, _, div = _advance(f, g, line, d1 - d2, f_div, g_div)
+        if branch is Branch.G_VANISHING:
+            d1, f_div, g_div = d1 + 1, div, None
+        else:
+            d2, f_div, g_div = d2 + 1, None, div
         if branch is Branch.GENERIC and not p:
             c = gcd(*f)
             if c > 1:
@@ -312,20 +391,23 @@ def _ramp_degrees(theta1, theta2, line, upto):
 
 
 def _run_chain(items, observer=None):
-    """Fold :func:`_step` from (d/dx, d/dy) through ``(form, mult)`` items: the two members.
+    """Fold :func:`_step` from (d/dx, d/dy) through ``(form, mult)`` items: the two ``(f, g)`` members.
 
     Each hyperplane, in the order given, is ramped from multiplicity 0 to
-    its target.  ``observer(form, mult, branch, degrees_before,
-    degrees_after)`` is invoked after every step when supplied.
+    its target, and the members' f and g are rebuilt once at its end.
+    ``observer(form, mult, branch, degrees_before, degrees_after)`` is
+    invoked after every step when supplied.
     """
     theta1, theta2 = ((1,), (0,)), ((0,), (1,))
     for form, upto in items:
-        ramp = _ramp(theta1, theta2, _line(form), upto)
-        for mult, (new1, new2, branch) in enumerate(ramp):
+        line = _line(form)
+        before = (len(theta1[0]) - 1, len(theta2[0]) - 1)
+        for mult, (new1, new2, branch) in enumerate(_ramp(theta1, theta2, line, upto)):
             if observer is not None:
-                before = (len(theta1[0]) - 1, len(theta2[0]) - 1)
-                observer(form, mult, branch, before, (len(new1[0]) - 1, len(new2[0]) - 1))
-            theta1, theta2 = new1, new2
+                after = (len(new1[1]) - 1, len(new2[1]) - 1)
+                observer(form, mult, branch, before, after)
+                before = after
+        theta1, theta2 = (_out_of_frame(theta, line) for theta in (new1, new2))
     return theta1, theta2
 
 

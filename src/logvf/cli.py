@@ -26,9 +26,11 @@ from .oracle import dimension_table, exponents_by_oracle
 
 ORACLE_TOTAL_LIMIT = 16
 # ``basis``, ``trace`` and ``exponents`` run the chain, quadratic in |mu|
-# and slower still over Q as coefficients grow.  On one core (Python 3.11)
-# ``basis`` takes 5.5 s at |mu| = 500 on the lines y, x, x + y, x - y,
-# 2x + y (15 s at 600); lines of larger height take longer at the same |mu|.
+# and slower still over Q as coefficients grow.  On one shared core (Python
+# 3.11.7) ``basis`` takes 11.5 s at |mu| = 500 on the lines y, x, x + y,
+# x - y, 2x + y (32 s for ``build_basis`` at 600), nearly all of it in
+# arithmetic on coefficients of thousands of bits; lines of larger height
+# take longer at the same |mu|.
 CHAIN_TOTAL_LIMIT = 500
 # ``frobenius`` takes 5.8 s at |mu| = 4094 (p = 4093, i = 0).
 FROBENIUS_TOTAL_LIMIT = 4096

@@ -48,6 +48,49 @@ def times_linear(cs, a, b, p):
     return tuple([b * s + a * t for s, t in pairs])
 
 
+def times_linear_power(cs, a, b, p, k):
+    """Multiply by the form's ``k``-th power, as ``k`` calls of :func:`times_linear` would (ints over Q).
+
+    x and y only shift the coefficients, and below the fourth power the
+    products are cheaper one at a time.  Otherwise both factors are packed
+    into Python ints, one coefficient per slot of w bytes, multiplied once
+    and unpacked (Kronecker substitution).  Over F_p the power's coefficients
+    C(k, j) a^j b^(k-j) are reduced first and the slots hold sums of at most
+    min(deg + 1, k + 1) products below p^2.  Over Q the power is packed as
+    (b + a*2^(8w))^k, and every slot is biased by half its range, so signed
+    coefficients below (|a| + |b|)^k * max|c| fit and unpack without borrows.
+    """
+    if not a:  # y
+        return cs + (0,) * k
+    if not b:  # x
+        return (0,) * k + cs
+    if k < 4:
+        for _ in range(k):
+            cs = times_linear(cs, a, b, p)
+        return cs
+    n = len(cs) + k
+    if p:
+        w = (2 * (p - 1).bit_length() + min(len(cs), k + 1).bit_length() + 7) // 8
+        powers = [1]
+        for _ in range(k):
+            powers.append(powers[-1] * b % p)
+        row, c, ap = [], 1, 1
+        for j in range(k + 1):
+            row.append(c * ap * powers[k - j] % p)
+            c, ap = c * (k - j) // (j + 1), ap * a % p
+        packed = [int.from_bytes(b"".join([v.to_bytes(w, "little") for v in vs]), "little") for vs in (cs, row)]
+        buf = (packed[0] * packed[1]).to_bytes(n * w, "little")
+        return tuple([int.from_bytes(buf[i : i + w], "little") % p for i in range(0, n * w, w)])
+    bits = max(map(abs, cs)).bit_length() + ((abs(a) + abs(b)) ** k).bit_length() + 1
+    w = (bits + 7) // 8
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")  # half in every slot
+    packed = int.from_bytes(b"".join([(c + half).to_bytes(w, "little") for c in cs]), "little")
+    packed -= bias >> (8 * w * k)
+    buf = (packed * (b + (a << (8 * w))) ** k + bias).to_bytes(n * w, "little")
+    return tuple([int.from_bytes(buf[i : i + w], "little") - half for i in range(0, n * w, w)])
+
+
 def eval_raw(cs, x, y, p):
     """The value at the raw point (x, y), by Horner's rule in x."""
     r, yp = cs[-1], 1

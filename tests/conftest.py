@@ -5,6 +5,7 @@ every test run sees the same inputs.
 """
 
 import random
+from math import gcd
 
 from logvf import (
     Field,
@@ -14,6 +15,9 @@ from logvf import (
     all_hyperplanes,
     build_basis,
 )
+from logvf.basis import Branch, _line, _plus_q_times
+from logvf.derivation import apply, primitive
+from logvf.poly import InexactDivisionError, div_linear, div_linear_power, eval_raw, times_linear
 
 FIELDS = [RATIONALS, Field(2), Field(3), Field(5), Field(7)]
 PRIME_FIELDS = FIELDS[1:]
@@ -117,6 +121,158 @@ def dense_determinant(theta1, theta2):
     plus = dense_product(theta1.f.coeffs, theta2.g.coeffs, p)
     minus = dense_product(theta2.f.coeffs, theta1.g.coeffs, p)
     return tuple((s - t) % p if p else s - t for s, t in zip(plus, minus))
+
+
+# ----------------------------------------------------------------------
+# the reference chain: the update step as it ran on (f, g) members, with the
+# quotients theta_i(alpha)/alpha^m carried beside them and every tuple
+# rewritten at every step.  The library's chain carries each member in the
+# frame of the line being ramped instead; its bases, branches and degrees
+# must equal these.
+# ----------------------------------------------------------------------
+
+
+def reference_step(theta1, theta2, line, f_quot, g_quot):
+    """One multiplicity-raising update on ``(f, g)`` members: the reference for ``basis._step``.
+
+    Members are ``(f, g)`` pairs of coefficient tuples of equal length and
+    ``line`` is :func:`_line` of the form.  (theta1, theta2) must be a basis
+    of D(A, mu) where the form has multiplicity mult, and ``f_quot``/``g_quot``
+    must equal theta_i(form) / form^mult.  The returned ``(theta1', theta2',
+    branch, f', g')`` holds a basis for mult + 1 and its quotients by
+    form^(mult+1), so a ramp never recomputes them.  Over Q both members must
+    be primitive integer derivations, like every member returned: by Gauss's
+    lemma their products with the primitive form stay primitive, with the
+    same sign, so only the generic combination is reduced and every value
+    stays an integer.  Every division is remainder-checked: a violated
+    precondition raises InexactDivisionError rather than giving a wrong answer.
+    """
+    if len(theta1[0]) < len(theta2[0]):
+        theta1, theta2 = theta2, theta1
+        f_quot, g_quot = g_quot, f_quot
+    (f1, g1), (f2, g2) = theta1, theta2
+    a, b, p = line
+    branch, f_quot, g_quot, num, den = reference_advance(f_quot, g_quot, line, len(f1) - len(f2))
+    if branch is Branch.G_VANISHING:
+        return (times_linear(f1, a, b, p), times_linear(g1, a, b, p)), theta2, branch, f_quot, g_quot
+    theta2 = (times_linear(f2, a, b, p), times_linear(g2, a, b, p))
+    if branch is Branch.F_VANISHING:
+        return theta1, theta2, branch, f_quot, g_quot
+    f1, g1 = _plus_q_times(f1, f2, num, den, a, p), _plus_q_times(g1, g2, num, den, a, p)
+    if not p:  # primitive() is the identity over F_p
+        f1, g1, k = primitive(f1, g1)
+        if k != 1:
+            # primitive() divided theta1' by an integer content; f' follows exactly
+            f_quot = tuple([c // k for c in f_quot])
+    return (f1, g1), theta2, branch, f_quot, g_quot
+
+
+def reference_advance(f_quot, g_quot, line, d):
+    """:func:`reference_step` on the quotients alone: ``(branch, f', g', num, den)``.
+
+    The quotients belong to a pair whose degrees differ by ``d`` >= 0,
+    larger first.  A generic f' is (den*f + q*g) / form, not yet reduced;
+    num and den, which fix q, are None in the other branches.
+
+    A monic form (every form over F_p; y and x + c*y over Q) divides each
+    quotient once and branches on the remainder r: h = form*Q + r*y^deg is
+    (-1)^deg * r at the kernel point (h = y*Q + r*x^deg is r for y).  A
+    generic step reuses both divisions, since den*f + q*g equals
+    form*(den*Qf + q*Qg) + y^deg(g) * (den*rf*y^d + rg*q): it adds the
+    bracket's exact quotient by the form to the first d coefficients.  A
+    non-monic form over Q evaluates first: dividing by it can leave Z.
+    """
+    ax, ay, p = line
+    px, py = ay, -ax % p if p else -ax
+    monic = ax < 2
+    qg, g_val = div_linear(g_quot, ax, ay, p) if monic else (None, eval_raw(g_quot, px, py, p))
+
+    if not g_val:
+        # form^(mult+1) already divides theta2(form): multiply theta1 instead
+        g_quot = qg if monic else div_linear_power(g_quot, ax, ay, p, 1)
+        return Branch.G_VANISHING, f_quot, g_quot, None, None
+
+    qf, f_val = div_linear(f_quot, ax, ay, p) if monic else (None, eval_raw(f_quot, px, py, p))
+
+    if not f_val:
+        # form^(mult+1) already divides theta1(form): multiply theta2 instead
+        f_quot = qf if monic else div_linear_power(f_quot, ax, ay, p, 1)
+        return Branch.F_VANISHING, f_quot, g_quot, None, None
+
+    # generic case: clear the obstruction with den*theta1 + q*theta2, for the
+    # q of _plus_q_times, and num/den making (den*f + q*g)(point) = 0
+    rf, rg = f_val, g_val
+    if monic and py and d % 2:
+        f_val = -f_val  # the values are (-1)^deg times these; only the ratio counts
+    if py:
+        tail, power = 0, 1
+        for _ in range(d):
+            power = power * px % p if p else power * px
+            tail = (tail * py + power) % p if p else tail * py + power
+        num, den = -f_val - tail * g_val, g_val * pow(py, d, p or None)
+    else:
+        # form is y, kernel point (1, 0)
+        num, den = -f_val, g_val
+    if p:
+        num, den = num * pow(den, -1, p) % p, 1
+    else:
+        c = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // c, den // c
+    if not monic:
+        f_quot = div_linear_power(_plus_q_times(f_quot, g_quot, num, den, ax, p), ax, ay, p, 1)
+        return Branch.GENERIC, f_quot, g_quot, num, den
+
+    # synthetic division of the bracket from x^d (each coefficient above y^d
+    # is den*rg) gives den*t_j on x^j y^(d-1-j), t_(d-1) = rg and t_(j-1) =
+    # rg - ay*t_j, and leaves den*(rf - ay*t_0) + num*rg, which must vanish
+    t = 0
+    if py and d:
+        cs = list(qf)
+        for j in range(d - 1, -1, -1):
+            t = (rg - ay * t) % p if p else rg - ay * t
+            cs[j] += t
+        qf = tuple(cs)
+    r = den * (rf - ay * t) + num * rg
+    if r % p if p else r:
+        raise InexactDivisionError(f"({ax}*x + {ay}*y) does not divide the generic combination")
+    f_quot = _plus_q_times(qf, qg, num, den, ax, p)
+    return Branch.GENERIC, f_quot, g_quot, num, den
+
+
+def reference_ramp(theta1, theta2, line, upto):
+    """Raise the multiplicity of a hyperplane from 0 to ``upto``, one step at a time.
+
+    (theta1, theta2) must be a basis of an arrangement without it.  Yields
+    ``(theta1', theta2', branch)``, the k-th pair a basis at multiplicity k,
+    carrying the quotients of :func:`reference_step` from one step to the next.
+    """
+    f_quot, g_quot = (apply(*theta, *line) for theta in (theta1, theta2))
+    for _ in range(upto):
+        theta1, theta2, branch, f_quot, g_quot = reference_step(theta1, theta2, line, f_quot, g_quot)
+        yield theta1, theta2, branch
+
+
+def reference_chain(items, observer=None):
+    """Fold :func:`reference_step` from (d/dx, d/dy) through ``(form, mult)`` items: the two members.
+
+    Each hyperplane, in the order given, is ramped from multiplicity 0 to
+    its target.  ``observer(form, mult, branch, degrees_before,
+    degrees_after)`` is invoked after every step when supplied.
+    """
+    theta1, theta2 = ((1,), (0,)), ((0,), (1,))
+    for form, upto in items:
+        ramp = reference_ramp(theta1, theta2, _line(form), upto)
+        for mult, (new1, new2, branch) in enumerate(ramp):
+            if observer is not None:
+                before = (len(theta1[0]) - 1, len(theta2[0]) - 1)
+                observer(form, mult, branch, before, (len(new1[0]) - 1, len(new2[0]) - 1))
+            theta1, theta2 = new1, new2
+    return theta1, theta2
+
+
+def reference_basis(arrangement):
+    """The ``(f, g)`` members :func:`reference_chain` builds for an arrangement."""
+    return reference_chain(arrangement.items())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,6 +1,7 @@
 """Traces, generic forms, closed forms, Frobenius bases, and the sweep."""
 
 import hashlib
+import itertools
 import random
 import time
 
@@ -409,6 +410,17 @@ def test_sweep_symmetries_keep_exponents():
         for image in orbit(mu):
             assert exponents(four_lines(image)) == expected, (mu, image)
             assert predicted_difference_two(image) == predicted_difference_two(mu)
+
+
+def test_representative_closed_form_matches_the_views():
+    # the 8 views of a tuple in walk order, from the symmetry group and the walk order
+    views = [[s[i] for i in analysis._WALK_ORDER] for s in analysis._SYMMETRIES]
+    rng = random.Random(13)
+    tuples = list(itertools.product(range(1, 16), repeat=4))
+    tuples += [tuple(rng.randint(1, 125) for _ in range(4)) for _ in range(5000)]
+    tuples += [(125, 125, 1, 1), (1, 125, 125, 1), (7, 7, 7, 7), (125, 124, 125, 124)]
+    for mu in tuples:
+        assert analysis._representative(mu) == max(tuple(mu[i] for i in view) for view in views), mu
 
 
 def test_experiment_rows_match_exponents():

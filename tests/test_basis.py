@@ -24,9 +24,8 @@ from logvf import (
     verify_basis,
 )
 from logvf import basis
-from logvf.basis import _line, _pair, _plus_q_times, _ramp, _ramp_degrees, _step
-from logvf.derivation import apply
-from logvf.poly import div_linear_power, eval_raw
+from logvf.basis import _into_frame, _line, _out_of_frame, _pair, _plus_q_times, _ramp, _ramp_degrees, _step
+from logvf.poly import div_linear, div_linear_power, eval_raw
 
 from conftest import dense_determinant, dense_product, sample_arrangements
 
@@ -45,10 +44,17 @@ def member(theta):
 
 
 def step(theta1, theta2, form, mult):
-    """:func:`_step` with its quotients theta_i(form) / form^mult computed here."""
+    """:func:`_step` on ``(f, g)`` members, taken into the form's frame at multiplicity mult and back.
+
+    Returns ``(theta1', theta2', branch, div1, div2)`` with ``(f, g)`` members.
+    """
     a, b, p = line = _line(form)
-    quotients = (div_linear_power(apply(f, g, a, b, p), a, b, p, mult) for f, g in (theta1, theta2))
-    return _step(theta1, theta2, line, *quotients)
+    members = []
+    for theta in (theta1, theta2):
+        u, *images = _into_frame(theta, line)
+        members.append((div_linear_power(u, a, b, p, mult), *images))
+    new1, new2, branch, div1, div2 = _step(*members, line)
+    return _out_of_frame(new1, line), _out_of_frame(new2, line), branch, div1, div2
 
 
 DX, DY = ((1,), (0,)), ((0,), (1,))
@@ -199,17 +205,20 @@ def test_build_output_is_verified_and_primitive():
 
 def test_step_quotients_stay_integral_over_q():
     # ramp integer lines, non-monic ones included, through _step with the
-    # cached quotients threaded along, as the chain does
+    # frame members and the carried divisions threaded along, as the chain does
     forms = [LinearForm(RATIONALS, a, b) for a, b in [(0, 1), (3, -2), (1, 1), (2, 1)]]
     theta1, theta2 = DX, DY
     branches = set()
     for form in forms:
-        f_quot, g_quot = (apply(*theta, *_line(form)) for theta in (theta1, theta2))
+        line = _line(form)
+        member1, member2 = (_into_frame(theta, line) for theta in (theta1, theta2))
+        div1 = div2 = None
         for _ in range(5):
-            theta1, theta2, branch, f_quot, g_quot = _step(theta1, theta2, _line(form), f_quot, g_quot)
+            member1, member2, branch, div1, div2 = _step(member1, member2, line, div1, div2)
             branches.add(branch)
-            for quot in (f_quot, g_quot):
-                assert all(type(c) is int for c in quot)
+            for member in (member1, member2):
+                assert all(type(c) is int for cs in member for c in cs)
+            theta1, theta2 = (_out_of_frame(member, line) for member in (member1, member2))
             for f, g in (theta1, theta2):
                 assert all(type(c) is int for c in f + g)
     assert branches == set(Branch)
@@ -352,7 +361,7 @@ def ramp_cases(seed, count, fields=RAMP_FIELDS, max_lines=4):
 def test_degree_ramp_matches_full_ramp():
     for arrangement, form, upto in ramp_cases(seed=5, count=32):
         theta1, theta2 = map(member, build_basis(arrangement))
-        full = [(len(t1[0]) - 1, len(t2[0]) - 1) for t1, t2, _ in _ramp(theta1, theta2, _line(form), upto)]
+        full = [(len(t1[1]) - 1, len(t2[1]) - 1) for t1, t2, _ in _ramp(theta1, theta2, _line(form), upto)]
         assert list(_ramp_degrees(theta1, theta2, _line(form), upto)) == full, (arrangement, form)
 
 
@@ -365,9 +374,9 @@ def test_degree_ramp_quotients_stay_as_small_as_the_full_ramps(monkeypatch):
     bits = []
     advance = basis._advance
 
-    def spy(f_quot, g_quot, line, d):
+    def spy(f_quot, g_quot, *rest):
         bits.append(max(abs(c).bit_length() for c in f_quot + g_quot))
-        return advance(f_quot, g_quot, line, d)
+        return advance(f_quot, g_quot, *rest)
 
     monkeypatch.setattr(basis, "_advance", spy)
     for arrangement, form, _ in ramp_cases(seed=3, count=8, fields=[RATIONALS]):
@@ -427,6 +436,14 @@ def _advance_by_evaluation(f_quot, g_quot, line, d):
     return Branch.GENERIC, f_quot, g_quot, num, den
 
 
+def _division(quot, line):
+    """A quotient's division by the form as ``_advance`` makes it: ``(quotient, remainder)``, or ``(None, value)``."""
+    ax, ay, p = line
+    if ax < 2:
+        return div_linear(quot, ax, ay, p)
+    return None, eval_raw(quot, ay, -ax, p)
+
+
 def advance_inputs(monkeypatch, field, seed, count):
     """Every ``_advance`` argument tuple of seeded chains over ``field``.
 
@@ -458,14 +475,23 @@ def advance_inputs(monkeypatch, field, seed, count):
 @pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)
 def test_advance_matches_evaluate_then_divide(monkeypatch, field):
     covered = set()
-    for f_quot, g_quot, line, d in advance_inputs(monkeypatch, field, seed=17, count=12):
-        new = basis._advance(f_quot, g_quot, line, d)
+    carried = 0
+    for f_quot, g_quot, line, d, f_div, g_div in advance_inputs(monkeypatch, field, seed=17, count=12):
+        new = basis._advance(f_quot, g_quot, line, d, f_div, g_div)
         old = _advance_by_evaluation(f_quot, g_quot, line, d)
-        assert new[0] is old[0] and new[3:] == old[3:], (line, d)
+        assert new[0] is old[0] and new[3:5] == old[3:], (line, d)
         assert new[1:3] == old[1:3], (line, d)
         covered.add((new[0], d if new[0] is Branch.GENERIC else None))
+        # a carried division is the one of the quotient it came with, made afresh
+        for quot, div in ((f_quot, f_div), (g_quot, g_div)):
+            if div is not None:
+                carried += 1
+                assert div == _division(quot, line), (line, d)
+        kept = f_quot if new[0] is Branch.G_VANISHING else g_quot
+        assert new[5] is None or new[5] == _division(kept, line), (line, d)
     assert {branch for branch, _ in covered} == set(Branch)
     assert {d for _, d in covered} >= set(range(13))
+    assert carried >= 100
 
 
 @pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)

@@ -2,10 +2,12 @@
 
 Each kernel is checked against an independent route: the dense product
 ``HomogPoly.__mul__``, the scale-and-add of ``HomogPoly``, exact Fraction
-arithmetic, or the Derivation method that wraps it.
+arithmetic, the Derivation method that wraps it, or, for the product by a
+power of a form, that many products by the form.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from logvf import Derivation, Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 from logvf.derivation import apply, primitive
-from logvf.poly import div_linear, div_linear_power, eval_raw, times_linear
+from logvf.poly import div_linear, div_linear_power, eval_raw, times_linear, times_linear_power
 
 FIELDS = [RATIONALS, Field(7), Field(101), Field(2**31 - 1)]
 
@@ -130,3 +132,91 @@ def test_method_primitive_clears_denominators_before_the_kernel(pair):
     reduced, factor = Derivation(theta_f, theta_g).primitive()
     assert all(type(c) is int for c in reduced.f.coeffs + reduced.g.coeffs)
     assert reduced == Derivation(theta_f.scale(factor), theta_g.scale(factor))
+
+
+# ----------------------------------------------------------------------
+# the product by a power of the form, against k calls of times_linear
+# ----------------------------------------------------------------------
+
+# forms in normal form over Q with a in {0, 1, 2, 3} and b in [-3, 3]
+Q_FORMS = [(0, 1)] + [(a, b) for a in (1, 2, 3) for b in range(-3, 4) if math.gcd(a, b) == 1]
+POWER_PRIMES = [2, 3, 7, 101, 2**31 - 1]
+POWERS = [0, 1, 2, 4, 150]  # below 4 the kernel multiplies one factor at a time
+
+
+def power_by_steps(cs, a, b, p, k):
+    for _ in range(k):
+        cs = times_linear(cs, a, b, p)
+    return cs
+
+
+signed_big = st.integers(0, 300).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cs=st.one_of(
+        st.lists(signed_big, min_size=1, max_size=20),
+        st.integers(1, 20).map(lambda n: [0] * n),  # all-zero tuples
+        signed_big.map(lambda c: [c]),  # single coefficients
+    ),
+    form=st.sampled_from(Q_FORMS),
+    k=st.sampled_from(POWERS),
+)
+def test_power_product_matches_repeated_products_over_q(cs, form, k):
+    a, b = form
+    cs = tuple(cs)
+    assert times_linear_power(cs, a, b, 0, k) == power_by_steps(cs, a, b, 0, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.sampled_from(POWER_PRIMES),
+    data=st.data(),
+    k=st.sampled_from(POWERS),
+)
+def test_power_product_matches_repeated_products_over_fp(p, data, k):
+    b = data.draw(st.integers(0, p - 1))
+    a, b = data.draw(st.sampled_from([(0, 1), (1, b)]))
+    cs = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=20)))
+    out = times_linear_power(cs, a, b, p, k)
+    assert out == power_by_steps(cs, a, b, p, k)
+    assert all(type(c) is int and 0 <= c < p for c in out)
+
+
+def test_power_product_on_seeded_tuples():
+    rng = random.Random(29)
+    cases = 0
+    for _ in range(400):
+        p = rng.choice([0, 0] + POWER_PRIMES)
+        k = rng.choice(POWERS + [rng.randint(3, 40)])
+        n = rng.randint(1, 30)
+        if p:
+            a, b = rng.choice([(0, 1), (1, 0), (1, rng.randrange(p))])
+            cs = tuple(rng.randrange(p) for _ in range(n))
+        else:
+            a, b = rng.choice(Q_FORMS)
+            bits = rng.choice([0, 1, 30, 64, 300])
+            cs = tuple(rng.randint(-(2**bits), 2**bits) for _ in range(n))
+        assert times_linear_power(cs, a, b, p, k) == power_by_steps(cs, a, b, p, k), (a, b, p, k)
+        cases += 1
+    assert cases == 400
+
+
+@pytest.mark.parametrize("form", [(1, -1), (2, -3), (3, -1), (1, 3)])
+@pytest.mark.parametrize("k", [4, 7, 150])
+def test_power_product_at_the_slot_bound(form, k):
+    # coefficients of largest size and alternating signs against a form with
+    # b < 0 line up every product's sign: the result reaches max|c| * (|a| + |b|)^k
+    # when the tuple is longer than k; eight consecutive sizes meet every byte alignment
+    a, b = form
+    for bits in (1, 64, 300, *range(56, 64)):
+        top = 2**bits - 1
+        cs = tuple(top if i % 2 else -top for i in range(25))
+        out = times_linear_power(cs, a, b, 0, k)
+        assert out == power_by_steps(cs, a, b, 0, k), bits
+        if b < 0 and k < 25:
+            assert max(map(abs, out)) == top * (a - b) ** k
+    for p in POWER_PRIMES:
+        full = (p - 1,) * 25
+        assert times_linear_power(full, 1, p - 1, p, k) == power_by_steps(full, 1, p - 1, p, k)
