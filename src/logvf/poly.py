@@ -13,8 +13,9 @@ integer division by the leading coefficient.
 
 Each kernel is one function on a coefficient tuple ``cs``, a form a*x + b*y
 and the characteristic ``p`` (0 for Q); the determinant's is
-``derivation.determinant_coefficient``.  ``HomogPoly.__add__``, ``__mul__``,
-``scale``, ``times_linear`` and ``_div_linear`` have no caller here but
+``derivation.determinant_coefficient``.  :func:`taylor_vanishes` is F_p-only
+(degree below p, as it inverts factorials mod p).  ``HomogPoly.__add__``,
+``__mul__``, ``scale``, ``times_linear`` and ``_div_linear`` have no caller here but
 ``Derivation.plus_scaled`` and ``times_linear``, which have none; all seven
 stay only because the ``perfbench/`` benchmark wraps them by name.
 """
@@ -22,6 +23,7 @@ stay only because the ``perfbench/`` benchmark wraps them by name.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 
 from .arrangement import LinearForm
 from .field import Field, _shrink
@@ -89,6 +91,25 @@ def times_linear_power(cs, a, b, p, k):
     packed -= bias >> (8 * w * k)
     buf = (packed * (b + (a << (8 * w))) ** k + bias).to_bytes(n * w, "little")
     return tuple([int.from_bytes(buf[i : i + w], "little") - half for i in range(0, n * w, w)])
+
+
+def taylor_vanishes(cs, b, p, m, fact, inv):
+    """Whether ``(x + b*y)^m`` divides the polynomial over F_p, for degree D < p.
+
+    T_0 ... T_(m-1) must vanish, T_j the u^j coefficient of h = sum c_i x^i y^(D-i)
+    in u = x + b*y.  j!*T_j = sum_k c_(j+k)*(j+k)! * (-b)^k/k! is slot D - j of the
+    product of (c_i*i!) reversed and ((-b)^k/k!), packed one value per w-byte
+    slot (a slot sums D + 1 products below p^2).  ``fact``/``inv`` hold i!, 1/i!.
+    """
+    d = len(cs) - 1
+    m = min(m, d + 1)
+    w = (2 * (p - 1).bit_length() + (d + 1).bit_length() + 7) // 8
+    rev = [c * f % p for c, f in zip(reversed(cs), reversed(fact[: d + 1]))]
+    powers = accumulate(repeat(-b % p, d), lambda s, v: s * v % p, initial=1)
+    g = [t * i % p for t, i in zip(powers, inv)]
+    packed = [int.from_bytes(b"".join([v.to_bytes(w, "little") for v in vs]), "little") for vs in (rev, g)]
+    buf = ((packed[0] * packed[1] >> (8 * w * (d + 1 - m))) & ((1 << (8 * w * m)) - 1)).to_bytes(m * w, "little")
+    return not any(int.from_bytes(buf[i : i + w], "little") % p for i in range(0, m * w, w))
 
 
 def eval_raw(cs, x, y, p):

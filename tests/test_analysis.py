@@ -324,6 +324,14 @@ def test_frobenius_shift_validation():
         frobenius_arrangement(2, 0, {LinearForm(Field(3), 1, 0): 1})
 
 
+def test_frobenius_families_refuse_a_huge_field_before_building_forms():
+    start = time.perf_counter()
+    for build in (frobenius_arrangement, frobenius_basis):
+        with pytest.raises(ValueError, match="2147483648"):
+            build(2**31 - 1, 0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_frobenius_basis_random_shifts_match_chain():
     rng = random.Random(2718)
     for p in (2, 3):

@@ -1,5 +1,6 @@
 """Normalized forms and multiarrangement bookkeeping."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -151,6 +152,14 @@ def test_all_hyperplanes_counts():
     assert len(all_hyperplanes(Field(5))) == 6
     with pytest.raises(ValueError):
         all_hyperplanes(RATIONALS)
+
+
+def test_all_hyperplanes_refuses_a_huge_field_before_building_forms():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="2147483648"):
+        all_hyperplanes(Field(2**31 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert len(all_hyperplanes(Field(10007))) == 10008
 
 
 @given(st.sampled_from([2, 3, 5, 7]))

@@ -1,5 +1,6 @@
 """Derivations, membership, determinants and primitive reduction."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,13 @@ from logvf import (
     Multiarrangement,
     RATIONALS,
     all_hyperplanes,
+    build_basis,
     saito_determinant,
+    verify_basis,
 )
+from logvf import derivation
+from logvf.analysis import frobenius_derivation
+from logvf.basis import BasisPair
 
 
 def D(f_coeffs, g_coeffs, field=RATIONALS):
@@ -65,6 +71,50 @@ def test_membership_frobenius_f2():
     theta = Derivation(HomogPoly.monomial(F2, 2, 2), HomogPoly.monomial(F2, 2, 0))
     arr = Multiarrangement(F2, {h: 2 for h in all_hyperplanes(F2)})
     assert theta.is_member(arr)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_membership_of_degree_at_least_p_divides_one_step_at_a_time(monkeypatch, p):
+    # (x + 2y) * (x^p dx + y^p dy) has degree p + 1 >= p, where p! has no inverse mod p
+    def no_table(*args):
+        raise AssertionError("the Taylor test needs degree < p")
+
+    monkeypatch.setattr(derivation, "taylor_vanishes", no_table)
+    field = Field(p)
+    frob = frobenius_derivation(p, 1)
+    line = HomogPoly(field, [2, 1])
+    theta = Derivation(line * frob.f, line * frob.g)
+    x_2y, x_3y = LinearForm(field, 1, 2), LinearForm(field, 1, 3)
+    assert theta.is_member(Multiarrangement(field, {x_2y: p + 1, x_3y: p}))
+    assert not theta.is_member(Multiarrangement(field, {x_3y: p + 1}))
+    assert not theta.is_member(Multiarrangement(field, {x_2y: p + 2}))
+
+
+def test_membership_of_a_zero_value_ignores_a_huge_multiplicity():
+    # theta(x) = 0 for y dy, and x + 3y's nonzero value cannot take a power above its degree
+    field = Field(2**31 - 1)
+    y_dy = Derivation(HomogPoly.zero(field, 1), HomogPoly(field, [1, 0]))
+    start = time.perf_counter()
+    assert y_dy.is_member(Multiarrangement(field, {LinearForm(field, 1, 0): 10**12}))
+    assert not y_dy.is_member(Multiarrangement(field, {LinearForm(field, 1, 3): 10**12}))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_verify_rejects_a_large_basis_with_one_coefficient_changed():
+    # y, x, x + y, x - y and x + 2y at 96 each over F_(2^31-1), |mu| = 480
+    field = Field(2**31 - 1)
+    forms = [LinearForm(field, *ab) for ab in ((0, 1), (1, 0), (1, 1), (1, -1), (1, 2))]
+    arrangement = Multiarrangement(field, {form: 96 for form in forms})
+    pair = build_basis(arrangement)
+    assert verify_basis(pair, arrangement)
+    theta1, theta2 = pair
+    f = list(theta1.f.coeffs)
+    f[len(f) // 2] = (f[len(f) // 2] + 1) % field.characteristic
+    changed = Derivation(HomogPoly._raw(field, tuple(f)), theta1.g)
+    # x and y still divide as before: only the Taylor test on the other lines can refuse
+    assert changed.is_member(Multiarrangement(field, {forms[0]: 96, forms[1]: 96}))
+    assert not changed.is_member(arrangement)
+    assert not verify_basis(BasisPair(changed, theta2), arrangement)
 
 
 def test_saito_determinant():

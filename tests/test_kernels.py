@@ -3,7 +3,8 @@
 Each kernel is checked against an independent route: the dense product
 ``HomogPoly.__mul__``, the scale-and-add of ``HomogPoly``, exact Fraction
 arithmetic, the Derivation method that wraps it, or, for the product by a
-power of a form, that many products by the form.
+power of a form, that many products by the form, or for the Taylor test of
+divisibility, that many divisions by the form.
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from logvf import Derivation, Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 from logvf.derivation import apply, primitive
-from logvf.poly import div_linear, div_linear_power, eval_raw, times_linear, times_linear_power
+from logvf.poly import div_linear, div_linear_power, eval_raw, taylor_vanishes, times_linear, times_linear_power
 
 FIELDS = [RATIONALS, Field(7), Field(101), Field(2**31 - 1)]
 
@@ -220,3 +221,59 @@ def test_power_product_at_the_slot_bound(form, k):
     for p in POWER_PRIMES:
         full = (p - 1,) * 25
         assert times_linear_power(full, 1, p - 1, p, k) == power_by_steps(full, 1, p - 1, p, k)
+
+
+# ----------------------------------------------------------------------
+# divisibility by a power of the form over F_p, against repeated division
+# ----------------------------------------------------------------------
+
+
+def divides_by_steps(cs, b, p, m):
+    for _ in range(m):
+        cs, r = div_linear(cs, 1, b, p)
+        if r:
+            return False
+    return True
+
+
+def factorial_tables(d, p):
+    fact = [math.factorial(i) % p for i in range(d + 1)]
+    return fact, [pow(f, -1, p) for f in fact]
+
+
+@pytest.mark.parametrize("p", [101, 10007, 2**31 - 1])
+def test_taylor_test_matches_repeated_division(p):
+    # h = (x + b*y)^k * q, perturbed in one coefficient half the time; every
+    # m around k and D, and b as the residue in [0, p) and as b - p
+    rng = random.Random(p)
+    divisible = cases = 0
+    for _ in range(120):
+        k, n = rng.randint(0, 30), rng.randint(1, 30)
+        b = rng.randrange(1, p)
+        h = times_linear_power(tuple(rng.randrange(p) for _ in range(n)), 1, b, p, k)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(h))
+            h = h[:i] + ((h[i] + rng.randrange(1, p)) % p,) + h[i + 1 :]
+        d = len(h) - 1
+        fact, inv = factorial_tables(d, p)
+        for m in {0, max(k - 1, 0), k, k + 1, d, d + 1}:
+            expected = divides_by_steps(h, b, p, m)
+            for residue in (b, b - p):
+                assert taylor_vanishes(h, residue, p, m, fact, inv) == expected, (b, k, m, d)
+                cases += 1
+            divisible += expected
+    assert divisible > 100 and cases - 2 * divisible > 100  # both answers are exercised
+
+
+@pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
+def test_kernels_take_the_balanced_residue(p):
+    # the chain passes x + b*y over F_p as b - p when 2b > p: same reduced outputs
+    rng = random.Random(p + 1)
+    for _ in range(50):
+        b = rng.randrange(p // 2 + 1, p)
+        cs = tuple(rng.randrange(p) for _ in range(rng.randint(1, 20)))
+        k = rng.choice([1, 3, 4, 9])
+        assert times_linear(cs, 1, b - p, p) == times_linear(cs, 1, b, p)
+        assert times_linear_power(cs, 1, b - p, p, k) == times_linear_power(cs, 1, b, p, k)
+        assert div_linear(cs, 1, b - p, p) == div_linear(cs, 1, b, p)
+        assert apply(cs, cs[::-1], 1, b - p, p) == apply(cs, cs[::-1], 1, b, p)

@@ -19,7 +19,7 @@ from logvf import (
 )
 from logvf import oracle
 
-from conftest import random_arrangement, sample_arrangements
+from conftest import form_pool, random_arrangement, sample_arrangements
 
 X = LinearForm(RATIONALS, 1, 0)
 Y = LinearForm(RATIONALS, 0, 1)
@@ -189,3 +189,24 @@ def test_constraint_rows_are_integral_scalings_of_the_slope_rows(field, extra):
             ]
             expected = [[v * s for v in row] for row, s in zip(_slope_rows(arr, d), scales)]
             assert rows == expected
+
+
+def _plain_dim(arrangement, d):
+    """dim D_d by eliminating every constraint row, unit rows included."""
+    rows, p = oracle._constraint_rows(arrangement, d), arrangement.field.characteristic
+    rank = (oracle._rank_mod_p(rows, p) if p else oracle._rank_rational(rows)) if rows else 0
+    return 2 * (d + 1) - rank
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(2), Field(101)], ids=str)
+def test_dim_degree_matches_plain_elimination(field):
+    # with and without x and y (whose rows are unit rows), multiplicities up to
+    # 9 > d + 1 at low degrees, every degree 0..|mu|
+    rng = random.Random(field.characteristic + 11)
+    x, y = LinearForm(field, 1, 0), LinearForm(field, 0, 1)
+    pool = [f for f in form_pool(field) if f not in (x, y)]
+    for trial in range(40):
+        forms = [x] * (trial % 2) + [y] * (trial // 2 % 2) + rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        arr = Multiarrangement(field, {form: rng.randint(1, 9) for form in forms})
+        for d in range(arr.total + 1):
+            assert dim_degree(arr, d) == _plain_dim(arr, d), (arr, d)
