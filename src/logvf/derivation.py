@@ -112,8 +112,8 @@ class Derivation:
         """Whether this derivation lies in D(A, mu) for the given arrangement.
 
         A zero theta(alpha) is divisible by every power of alpha, a nonzero h
-        of degree D by none above D, so no test runs past D + 1 whatever mu
-        is.  y^m or x^m divides h when its top or bottom m coefficients
+        of degree D by none above D, so m = min(mu(alpha), D + 1) is tested
+        whatever mu is.  y^m or x^m divides h when its top or bottom m coefficients
         vanish; (x + b*y)^m over F_p with D < p when h's first m Taylor
         coefficients at (-b, 1) do, which :func:`poly.taylor_vanishes` reads
         from one packed product (i! and 1/i! mod p tabled once per call).
@@ -132,14 +132,15 @@ class Derivation:
             h = apply(f, g, a, b, p)
             if not any(h):
                 continue
+            m = min(mult, d + 1)
             if not a or not b:  # y or x
-                if any(h[d + 1 - mult :] if not a else h[:mult]):
+                if any(h[d + 1 - m :] if not a else h[:m]):
                     return False
             elif d < p:
-                if not taylor_vanishes(h, b, p, mult, fact, inv):
+                if not taylor_vanishes(h, b, p, m, fact, inv):
                     return False
             else:
-                for _ in range(mult):
+                for _ in range(m):
                     h, r = div_linear(h, a, b, p)
                     if r:
                         return False

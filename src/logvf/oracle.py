@@ -25,38 +25,39 @@ from .arrangement import Multiarrangement
 
 
 def _constraint_rows(arrangement: Multiarrangement, d: int):
-    """Rows of the linear system cutting out D(A, mu)_d inside K^(2(d+1)).
+    """The linear system cutting out D(A, mu)_d inside K^(2(d+1)), as ``(fixed, rows)``.
 
     Unknowns are ordered f_0..f_d, g_0..g_d where f_j is the coefficient of
-    x^j y^(d-j) in f (and likewise for g).
+    x^j y^(d-j) in f (and likewise for g).  x and y give unit rows f_k = 0 and
+    g_(d-k) = 0, k < min(mu, d + 1): ``fixed`` holds their columns.
     """
     p = arrangement.field.characteristic
-    rows = []
+    fixed, rows = set(), []
     for form, mult in arrangement.items():
         ax, ay = form.ax, form.ay
-        # ax^0, ..., ax^(d+1) over Q; over F_p ax <= 1 and rows need no scale
+        n = min(mult, d + 1)
+        if not ax or not ay:
+            fixed.update(range(2 * (d + 1) - n, 2 * (d + 1)) if not ax else range(n))
+            continue
+        # ax^0, ..., ax^(d+1) over Q; over F_p ax = 1 and rows need no scale
         pw = None if p else list(accumulate(repeat(ax, d + 1), mul, initial=1))
-        for k in range(min(mult, d + 1)):
+        for k in range(n):
+            # ax^(d+1-k) times the u^k coefficient of h = ax*f + ay*g:
+            # sum_j C(j, k) * (-ay)^(j-k) * ax^(d-j) * (ax*f_j + ay*g_j)
             row = [0] * (2 * (d + 1))
-            if not ax:
-                # form is y; theta(y) = g and the u^k coefficient is g_(d-k)
-                row[(d + 1) + (d - k)] = 1
-            else:
-                # ax^(d+1-k) times the u^k coefficient of h = ax*f + ay*g:
-                # sum_j C(j, k) * (-ay)^(j-k) * ax^(d-j) * (ax*f_j + ay*g_j)
-                t = 1
-                for j in range(k, d + 1):
-                    w = math.comb(j, k) * t
-                    if p:
-                        w %= p
-                        row[j] = w
-                        row[(d + 1) + j] = w * ay % p
-                    else:
-                        row[j] = w * pw[d + 1 - j]
-                        row[(d + 1) + j] = w * ay * pw[d - j]
-                    t = t * -ay % p if p else t * -ay
+            t = 1
+            for j in range(k, d + 1):
+                w = math.comb(j, k) * t
+                if p:
+                    w %= p
+                    row[j] = w
+                    row[(d + 1) + j] = w * ay % p
+                else:
+                    row[j] = w * pw[d + 1 - j]
+                    row[(d + 1) + j] = w * ay * pw[d - j]
+                t = t * -ay % p if p else t * -ay
             rows.append(row)
-    return rows
+    return fixed, rows
 
 
 def _rank_rational(rows) -> int:
@@ -113,12 +114,10 @@ def dim_degree(arrangement: Multiarrangement, d: int) -> int:
     """dim of the degree-d graded piece of D(A, mu)."""
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    rows = _constraint_rows(arrangement, d)
-    # the forms x and y give unit rows, e_(f_k) and e_(g_(d-k)): each is rank
-    # one on its own column, which the elimination of the other rows can drop
-    fixed = {row.index(1) for row in rows if row.count(0) == len(row) - 1}
+    fixed, rows = _constraint_rows(arrangement, d)
+    # a unit row is rank one on its own column, which the other rows can drop
     keep = [j for j in range(2 * (d + 1)) if j not in fixed]
-    rows = [[row[j] for j in keep] for row in rows if row.count(0) < len(row) - 1]
+    rows = [[row[j] for j in keep] for row in rows]
     p = arrangement.field.characteristic
     rank = (_rank_mod_p(rows, p) if p else _rank_rational(rows)) if rows else 0
     return 2 * (d + 1) - len(fixed) - rank

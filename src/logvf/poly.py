@@ -70,9 +70,7 @@ def times_linear_power(cs, a, b, p, k):
         for _ in range(k):
             cs = times_linear(cs, a, b, p)
         return cs
-    n = len(cs) + k
     if p:
-        w = (2 * (p - 1).bit_length() + min(len(cs), k + 1).bit_length() + 7) // 8
         powers = [1]
         for _ in range(k):
             powers.append(powers[-1] * b % p)
@@ -80,9 +78,8 @@ def times_linear_power(cs, a, b, p, k):
         for j in range(k + 1):
             row.append(c * ap * powers[k - j] % p)
             c, ap = c * (k - j) // (j + 1), ap * a % p
-        packed = [int.from_bytes(b"".join([v.to_bytes(w, "little") for v in vs]), "little") for vs in (cs, row)]
-        buf = (packed[0] * packed[1]).to_bytes(n * w, "little")
-        return tuple([int.from_bytes(buf[i : i + w], "little") % p for i in range(0, n * w, w)])
+        return tuple(_packed_product(cs, row, p, 0, len(cs) + k))
+    n = len(cs) + k
     bits = max(map(abs, cs)).bit_length() + ((abs(a) + abs(b)) ** k).bit_length() + 1
     w = (bits + 7) // 8
     half = 1 << (8 * w - 1)
@@ -94,22 +91,28 @@ def times_linear_power(cs, a, b, p, k):
 
 
 def taylor_vanishes(cs, b, p, m, fact, inv):
-    """Whether ``(x + b*y)^m`` divides the polynomial over F_p, for degree D < p.
+    """Whether ``(x + b*y)^m`` divides the polynomial over F_p, for degree D < p and m <= D + 1.
 
     T_0 ... T_(m-1) must vanish, T_j the u^j coefficient of h = sum c_i x^i y^(D-i)
     in u = x + b*y.  j!*T_j = sum_k c_(j+k)*(j+k)! * (-b)^k/k! is slot D - j of the
-    product of (c_i*i!) reversed and ((-b)^k/k!), packed one value per w-byte
-    slot (a slot sums D + 1 products below p^2).  ``fact``/``inv`` hold i!, 1/i!.
+    product of (c_i*i!) reversed and ((-b)^k/k!).  ``fact``/``inv`` hold i!, 1/i!.
     """
     d = len(cs) - 1
-    m = min(m, d + 1)
-    w = (2 * (p - 1).bit_length() + (d + 1).bit_length() + 7) // 8
     rev = [c * f % p for c, f in zip(reversed(cs), reversed(fact[: d + 1]))]
     powers = accumulate(repeat(-b % p, d), lambda s, v: s * v % p, initial=1)
     g = [t * i % p for t, i in zip(powers, inv)]
-    packed = [int.from_bytes(b"".join([v.to_bytes(w, "little") for v in vs]), "little") for vs in (rev, g)]
-    buf = ((packed[0] * packed[1] >> (8 * w * (d + 1 - m))) & ((1 << (8 * w * m)) - 1)).to_bytes(m * w, "little")
-    return not any(int.from_bytes(buf[i : i + w], "little") % p for i in range(0, m * w, w))
+    return not any(_packed_product(rev, g, p, d + 1 - m, d + 1))
+
+
+def _packed_product(u, v, p, lo, hi):
+    """Slots lo..hi-1 of u*v mod p for residue lists, from one product of packed ints.
+
+    A slot sums at most min(len(u), len(v)) products below p^2: w bytes hold it.
+    """
+    w = (2 * (p - 1).bit_length() + min(len(u), len(v)).bit_length() + 7) // 8
+    x, y = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in vs]), "little") for vs in (u, v))
+    buf = (x * y >> (8 * w * lo)).to_bytes((len(u) + len(v) - 1 - lo) * w, "little")
+    return [int.from_bytes(buf[i : i + w], "little") % p for i in range(0, (hi - lo) * w, w)]
 
 
 def eval_raw(cs, x, y, p):

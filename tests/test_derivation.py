@@ -1,5 +1,6 @@
 """Derivations, membership, determinants and primitive reduction."""
 
+import random
 import time
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from logvf import (
 from logvf import derivation
 from logvf.analysis import frobenius_derivation
 from logvf.basis import BasisPair
+from logvf.poly import div_linear
 
 
 def D(f_coeffs, g_coeffs, field=RATIONALS):
@@ -98,6 +100,72 @@ def test_membership_of_a_zero_value_ignores_a_huge_multiplicity():
     assert y_dy.is_member(Multiarrangement(field, {LinearForm(field, 1, 0): 10**12}))
     assert not y_dy.is_member(Multiarrangement(field, {LinearForm(field, 1, 3): 10**12}))
     assert time.perf_counter() - start < 1.0
+
+
+def member_by_division(theta, arrangement):
+    """D(A, mu) membership by dividing each theta(alpha) by alpha mu(alpha) times."""
+    for form, mult in arrangement.items():
+        h = theta.apply(form).coeffs
+        for _ in range(mult):
+            if not any(h):
+                break
+            h, r = div_linear(h, form.ax, form.ay, form.field.characteristic)
+            if r:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(101), Field(2**31 - 1)], ids=str)
+def test_membership_matches_repeated_division(field):
+    # theta = (f, g) * prod of form powers, against x, y and two other lines
+    # alone and in pairs, at every multiplicity from 1 to 2D + 3
+    rng = random.Random(field.characteristic + 3)
+    p = field.characteristic
+    pool = [LinearForm(field, *ab) for ab in ((1, 0), (0, 1), (1, 1), (2, 3))]
+    answers = set()
+    for _ in range(30):
+        n = rng.randint(0, 4)
+        f, g = ([rng.randrange(p) if p else rng.randint(-3, 3) for _ in range(n + 1)] for _ in "fg")
+        theta = Derivation(HomogPoly(field, f), HomogPoly(field, [1] + g[1:]))
+        for form in rng.sample(pool, 2):
+            for _ in range(rng.randint(0, 4)):
+                theta = theta.times_linear(form)
+        d = theta.degree
+        for mult in range(1, 2 * d + 4):
+            for forms in [[form] for form in pool] + [rng.sample(pool, 2)]:
+                arrangement = Multiarrangement(field, {form: mult + i for i, form in enumerate(forms)})
+                expected = member_by_division(theta, arrangement)
+                assert theta.is_member(arrangement) == expected, (theta, arrangement)
+                answers.add(expected)
+    assert answers == {True, False}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(2**31 - 1)], ids=str)
+def test_membership_of_x_and_y_above_the_degree(field):
+    # theta(alpha) = alpha has degree 1: no power above 1 divides it, also for
+    # multiplicities between D + 2 and 2D + 1 (here 3), where an uncapped slice
+    # of the top coefficients would come back short
+    x, y = LinearForm(field, 1, 0), LinearForm(field, 0, 1)
+    x_dx = Derivation(HomogPoly(field, [0, 1]), HomogPoly.zero(field, 1))
+    y_dy = Derivation(HomogPoly.zero(field, 1), HomogPoly(field, [1, 0]))
+    assert x_dx.is_member(Multiarrangement(field, {x: 1}))
+    assert y_dy.is_member(Multiarrangement(field, {y: 1}))
+    for mult in (2, 3, 4, 5):
+        assert not x_dx.is_member(Multiarrangement(field, {x: mult}))
+        assert not y_dy.is_member(Multiarrangement(field, {y: mult}))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(2**31 - 1)], ids=str)
+def test_verify_rejects_a_nonmember_with_the_right_degrees_and_determinant(field):
+    # for y^3: y^2 dx and y dy have degree sum 3 and determinant -y^3, but y dy is no member
+    y = LinearForm(field, 0, 1)
+    arrangement = Multiarrangement(field, {y: 3})
+    y2_dx = Derivation(HomogPoly(field, [1, 0, 0]), HomogPoly.zero(field, 2))
+    y_dy = Derivation(HomogPoly.zero(field, 1), HomogPoly(field, [1, 0]))
+    assert saito_determinant(y2_dx, y_dy) != HomogPoly.zero(field, 3)
+    assert not verify_basis(BasisPair(y2_dx, y_dy), arrangement)
+    y3_dy = Derivation(HomogPoly.zero(field, 3), HomogPoly(field, [1, 0, 0, 0]))
+    assert verify_basis(BasisPair(y3_dy, Derivation.partial_x(field)), arrangement)
 
 
 def test_verify_rejects_a_large_basis_with_one_coefficient_changed():

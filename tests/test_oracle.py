@@ -180,20 +180,27 @@ def test_constraint_rows_are_integral_scalings_of_the_slope_rows(field, extra):
             if form not in arr:
                 arr = Multiarrangement(field, {**dict(arr.items()), form: rng.randint(1, 5)})
         for d in range(arr.total + 1):
-            rows = oracle._constraint_rows(arr, d)
+            fixed, rows = oracle._constraint_rows(arr, d)
             assert all(type(v) is int for row in rows for v in row)
-            scales = [
-                form.ax ** (d + 1 - k) if form.ax else 1
-                for form, mult in arr.items()
-                for k in range(min(mult, d + 1))
-            ]
-            expected = [[v * s for v in row] for row, s in zip(_slope_rows(arr, d), scales)]
+            # x and y come back as the columns of their unit rows, the rest as rows
+            slope, expected, units = iter(_slope_rows(arr, d)), [], []
+            for form, mult in arr.items():
+                for k in range(min(mult, d + 1)):
+                    row = next(slope)
+                    if form.ax and form.ay:
+                        expected.append([v * form.ax ** (d + 1 - k) for v in row])
+                    else:
+                        units.append(row)
             assert rows == expected
+            assert all(row.count(0) == len(row) - 1 and 1 in row for row in units)
+            assert sorted(fixed) == sorted(row.index(1) for row in units)
 
 
 def _plain_dim(arrangement, d):
     """dim D_d by eliminating every constraint row, unit rows included."""
-    rows, p = oracle._constraint_rows(arrangement, d), arrangement.field.characteristic
+    fixed, rows = oracle._constraint_rows(arrangement, d)
+    rows += [[int(j == c) for j in range(2 * (d + 1))] for c in fixed]
+    p = arrangement.field.characteristic
     rank = (oracle._rank_mod_p(rows, p) if p else oracle._rank_rational(rows)) if rows else 0
     return 2 * (d + 1) - rank
 
