@@ -15,8 +15,8 @@ from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
 from .derivation import Derivation, _line, apply, determinant_coefficient, saito_determinant
-from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw
-from .poly import times_linear, times_linear_power
+from .poly import HomogPoly, InexactDivisionError, barrett, div_linear, div_linear_power, eval_raw, pack_residues
+from .poly import reduce_packed, residue_width, times_linear, times_linear_power, unpack_residues
 
 
 class Branch(enum.Enum):
@@ -117,32 +117,29 @@ def _partner(a, b):
 
 
 def _into_frame(theta, line):
-    """An ``(f, g)`` member as the ramp of a form alpha carries it: ``(theta(alpha), theta(beta))``.
+    """An ``(f, g)`` member as the ramp of a form alpha carries it: ``(theta(alpha), degree, theta(beta))``.
 
     beta is y for x + c*y, x for y, and :func:`_partner` for a non-monic
     form, so det(alpha, beta) = +-1.  A non-monic form carries g too, whose
     top coefficient signs the member: a*theta(beta) - c*theta(alpha) would
-    need theta(alpha) in full, as their tops cancel when y is in A.
+    need theta(alpha) in full, as their tops cancel when y is in A.  Over
+    F_p theta(beta) is packed into one int (:func:`poly.residue_width`).
     """
     f, g = theta
     a, b, p = line
-    if not a:
-        return g, f
-    if not b:
-        return f, g
-    if a == 1:
-        return apply(f, g, a, b, p), g
-    return apply(f, g, a, b, p), apply(f, g, *_partner(a, b), p), g
+    u, v = (g, f) if not a else (f, g) if not b else (apply(f, g, a, b, p), g)
+    if a > 1:  # non-monic, so over Q
+        return u, len(f) - 1, apply(f, g, *_partner(a, b), p), g
+    return u, len(f) - 1, pack_residues(v, p) if p else v
 
 
 def _out_of_frame(member, line):
-    """The ``(f, g)`` of a member ``(theta(alpha)/alpha^k, theta(beta), ...)`` in the frame of ``line``.
-
-    k is the difference of the lengths (a zero quotient may be shorter).
-    """
-    u, v = member[:2]
+    """The ``(f, g)`` of a member ``(theta(alpha)/alpha^k, degree, theta(beta), ...)`` in the frame of ``line``."""
+    u, degree, v = member[:3]
     a, b, p = line
-    h = times_linear_power(u, a, b, p, len(v) - len(u))  # theta(alpha)
+    if p:
+        v = unpack_residues(v, degree + 1, p)
+    h = times_linear_power(u, a, b, p, degree + 1 - len(u))  # theta(alpha)
     if not a:
         return v, h
     if not b:
@@ -152,7 +149,7 @@ def _out_of_frame(member, line):
             return tuple([(s - b * t) % p for s, t in zip(h, v)]), v
         return tuple([s - b * t for s, t in zip(h, v)]), v
     e = _partner(a, b)[1]
-    return tuple([e * s - b * t for s, t in zip(h, v)]), member[2]
+    return tuple([e * s - b * t for s, t in zip(h, v)]), member[3]
 
 
 def _primitive(member, line):
@@ -164,50 +161,67 @@ def _primitive(member, line):
     for a non-monic form.  Where g is zero, f is u*alpha^k (over a for a
     non-monic form), whose top coefficient has the sign of u's.
     """
-    u, v = member[:2]
+    u, degree, v, *rest = member
     a = line[0]
-    g, f = (v, u) if a == 1 else (u, v) if not a else (member[2], u)
+    g, f = (v, u) if a == 1 else (u, v) if not a else (rest[0], u)
     k = gcd(*u, *v)
     if (next(filter(None, reversed(g)), 0) or next(filter(None, reversed(f)))) < 0:
         k = -k
     if k == 1:
         return member
-    return tuple([tuple([c // k for c in cs]) for cs in member])
+    u, v, *rest = (tuple([c // k for c in cs]) for cs in (u, v, *rest))
+    return u, degree, v, *rest
 
 
-def _step(theta1, theta2, line, div1=None, div2=None):
+def _step(theta1, theta2, line, div1=None, div2=None, kit=None):
     """One multiplicity-raising update; the engine behind the public operations.
 
     ``line`` is :func:`_line` of a form alpha of multiplicity k, and each
-    member is a tuple ``(theta(alpha)/alpha^k, theta(beta), ...)`` in the
-    frame of :func:`_into_frame`; all but the quotient are linear images of
-    (f, g).  (theta1, theta2) must be a basis of D(A, mu); the returned
-    ``(theta1', theta2', branch, div1', div2')`` is a basis at k + 1 in the
-    same frame.  A ``div`` is None or the division of that member's quotient
-    by alpha that :func:`_advance` already made; a step hands on the one of
-    the quotient it leaves unchanged.  Over Q both members must be primitive
-    integer derivations, like every member returned: by Gauss's lemma their
-    products with the primitive form stay primitive, with the same sign, so
-    only the generic combination is reduced and every value stays an
-    integer.  Every division is remainder-checked: a violated precondition
-    raises InexactDivisionError rather than giving a wrong answer.
+    member is a tuple ``(theta(alpha)/alpha^k, degree, theta(beta), ...)``
+    in the frame of :func:`_into_frame`; all but the quotient and the
+    degree are linear images of (f, g).  (theta1, theta2) must be a basis
+    of D(A, mu); the returned ``(theta1', theta2', branch, div1', div2')``
+    is a basis at k + 1 in the same frame.  A ``div`` is None or the
+    division of that member's quotient by alpha that :func:`_advance`
+    already made; a step hands on the one of the quotient it leaves
+    unchanged.  Over Q both members must be primitive integer derivations,
+    like every member returned: by Gauss's lemma their products with the
+    primitive form stay primitive, with the same sign, so only the generic
+    combination is reduced and every value stays an integer.  Over F_p the
+    image is packed, ``kit`` is :func:`poly.barrett`'s for at least
+    degree + 2 slots, and the generic g1 + q*g2 is one product by q packed.
+    Every division is remainder-checked: a violated precondition raises
+    InexactDivisionError rather than giving a wrong answer.
     """
-    if len(theta1[1]) < len(theta2[1]):
+    if theta1[1] < theta2[1]:
         theta1, theta2, div1, div2 = theta2, theta1, div2, div1
     a, b, p = line
-    d = len(theta1[1]) - len(theta2[1])
+    d = theta1[1] - theta2[1]
+    if p and not kit:
+        kit = barrett(p, theta1[1] + 2)
     branch, u1, u2, num, den, div = _advance(theta1[0], theta2[0], line, d, div1, div2)
     if branch is Branch.G_VANISHING:
-        theta1 = (u1, *[times_linear(t, a, b, p) for t in theta1[1:]])
+        theta1 = (u1, theta1[1] + 1, *_times_form(theta1[2:], line, kit))
         return theta1, (u2, *theta2[1:]), branch, div, None
-    images = theta2[1:]
-    theta2 = (u2, *[times_linear(t, a, b, p) for t in images])
+    images = theta2[2:]
+    theta2 = (u2, theta2[1] + 1, *_times_form(images, line, kit))
     if branch is Branch.F_VANISHING:
         return (u1, *theta1[1:]), theta2, branch, None, div
-    theta1 = (u1, *[_plus_q_times(s, t, num, den, a, p) for s, t in zip(theta1[1:], images)])
-    if not p:  # primitive() is the identity over F_p
-        theta1 = _primitive(theta1, line)
-    return theta1, theta2, branch, None, div
+    if p:  # primitive() is the identity over F_p
+        w = residue_width(p)  # q is num, then ones on slots 1..d; num on slot d for the form y
+        q = num + int.from_bytes(bytes(w) + (b"\x01" + bytes(w - 1)) * d, "little") if a else num << 8 * w * d
+        return (u1, theta1[1], reduce_packed(theta1[2] + images[0] * q, p, kit)), theta2, branch, None, div
+    theta1 = (u1, theta1[1], *[_plus_q_times(s, t, num, den, a, p) for s, t in zip(theta1[2:], images)])
+    return _primitive(theta1, line), theta2, branch, None, div
+
+
+def _times_form(images, line, kit):
+    """A member's images times the form: tuples over Q; over F_p the packed image times y, x or x + b*y."""
+    a, b, p = line
+    if not p:
+        return [times_linear(t, a, b, p) for t in images]
+    v, w = images[0], 8 * residue_width(p)
+    return [v if not a else v << w if not b else reduce_packed(v * (b % p) + (v << w), p, kit)]
 
 
 def _advance(f_quot, g_quot, line, d, f_div=None, g_div=None):
@@ -337,8 +351,8 @@ def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
     a, b, p = line = _line(form)
     members = []
     for theta in (theta.primitive()[0] for theta in pair):
-        u, *images = _into_frame((theta.f.coeffs, theta.g.coeffs), line)
-        members.append((div_linear_power(u, a, b, p, mult), *images))
+        u, *rest = _into_frame((theta.f.coeffs, theta.g.coeffs), line)
+        members.append((div_linear_power(u, a, b, p, mult), *rest))
     theta1, theta2, _, _, _ = _step(*members, line)
     return _pair(pair.field, *(_out_of_frame(theta, line) for theta in (theta1, theta2)))
 
@@ -349,12 +363,15 @@ def _ramp(theta1, theta2, line, upto):
     (theta1, theta2) must be ``(f, g)`` members of a basis of an arrangement
     without it.  Yields ``(theta1', theta2', branch)``, the k-th pair a basis
     at multiplicity k in the frame of :func:`_into_frame`, whose ``(f, g)``
-    :func:`_out_of_frame` rebuilds; each step hands on its division.
+    :func:`_out_of_frame` rebuilds; each step hands on its division.  Over
+    F_p the Barrett constants are built once, for the ramp's longest vector.
     """
+    p = line[2]
+    kit = barrett(p, max(len(theta1[0]), len(theta2[0])) + upto) if p else None
     theta1, theta2 = _into_frame(theta1, line), _into_frame(theta2, line)
     div1 = div2 = None
     for _ in range(upto):
-        theta1, theta2, branch, div1, div2 = _step(theta1, theta2, line, div1, div2)
+        theta1, theta2, branch, div1, div2 = _step(theta1, theta2, line, div1, div2, kit)
         yield theta1, theta2, branch
 
 
@@ -399,7 +416,7 @@ def _run_chain(items, observer=None):
         before = (len(theta1[0]) - 1, len(theta2[0]) - 1)
         for mult, (new1, new2, branch) in enumerate(_ramp(theta1, theta2, line, upto)):
             if observer is not None:
-                after = (len(new1[1]) - 1, len(new2[1]) - 1)
+                after = (new1[1], new2[1])
                 observer(form, mult, branch, before, after)
                 before = after
         theta1, theta2 = (_out_of_frame(theta, line) for theta in (new1, new2))

@@ -22,6 +22,7 @@ from itertools import accumulate, repeat
 from operator import mul
 
 from .arrangement import Multiarrangement
+from .poly import barrett, pack_residues, reduce_packed, residue_width
 
 
 def _constraint_rows(arrangement: Multiarrangement, d: int):
@@ -87,25 +88,27 @@ def _rank_rational(rows) -> int:
 
 
 def _rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p by ordinary row reduction."""
-    mat = [list(row) for row in rows]
-    ncols = len(mat[0])
+    """Rank over F_p of rows of residues, each packed once (:func:`poly.pack_residues`).
+
+    Slot 0 is the current column; each column is shifted out once eliminated.
+    Each other row r gains c*pivot, c = -r_0/pivot_0 mod p in [0, p), which
+    grows its slots by at most (p - 1)^2 per pivot, at most once per column,
+    so only the pivot rows are reduced.
+    """
+    w, kit = residue_width(p), barrett(p, len(rows[0]))
+    low = (1 << 8 * w) - 1
+    mat = [pack_residues(row, p) for row in rows]
     rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
-        if pivot is None:
+    for _ in range(len(rows[0])):
+        i = next((i for i, r in enumerate(mat) if (r & low) % p), None)
+        if i is None:
+            mat = [r >> 8 * w for r in mat]
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        # left of col every row below the rank is already zero
-        inv = pow(mat[rank][col], -1, p)
-        piv_tail = [v * inv % p for v in mat[rank][col:]]
-        for i in range(rank + 1, len(mat)):
-            row = mat[i]
-            factor = row[col] % p
-            if factor:
-                row[col:] = [(v - factor * w) % p for v, w in zip(row[col:], piv_tail)]
+        pivot = reduce_packed(mat.pop(i), p, kit)
+        c = p - pow(pivot & low, -1, p)
+        mat = [(r + (r & low) * c % p * pivot) >> 8 * w for r in mat]
         rank += 1
-        if rank == len(mat):
+        if not mat:
             break
     return rank
 

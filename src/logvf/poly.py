@@ -13,8 +13,10 @@ integer division by the leading coefficient.
 
 Each kernel is one function on a coefficient tuple ``cs``, a form a*x + b*y
 and the characteristic ``p`` (0 for Q); the determinant's is
-``derivation.determinant_coefficient``.  :func:`taylor_vanishes` is F_p-only
-(degree below p, as it inverts factorials mod p).  ``HomogPoly.__add__``,
+``derivation.determinant_coefficient``.  Over F_p the chain's images and the
+oracle's rows are packed residue vectors, reduced by :func:`reduce_packed`.
+:func:`taylor_vanishes` is F_p-only (degree below p, as it inverts
+factorials mod p).  ``HomogPoly.__add__``,
 ``__mul__``, ``scale``, ``times_linear`` and ``_div_linear`` have no caller here but
 ``Derivation.plus_scaled`` and ``times_linear``, which have none; all seven
 stay only because the ``perfbench/`` benchmark wraps them by name.
@@ -22,6 +24,7 @@ stay only because the ``perfbench/`` benchmark wraps them by name.
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from itertools import accumulate, repeat
 
@@ -104,15 +107,64 @@ def taylor_vanishes(cs, b, p, m, fact, inv):
     return not any(_packed_product(rev, g, p, d + 1 - m, d + 1))
 
 
+def _pack(cs, w):
+    """Nonnegative ints as one int, entry i in bytes i*w .. i*w + w - 1 (little-endian)."""
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
+
+
 def _packed_product(u, v, p, lo, hi):
     """Slots lo..hi-1 of u*v mod p for residue lists, from one product of packed ints.
 
     A slot sums at most min(len(u), len(v)) products below p^2: w bytes hold it.
     """
     w = (2 * (p - 1).bit_length() + min(len(u), len(v)).bit_length() + 7) // 8
-    x, y = (int.from_bytes(b"".join([c.to_bytes(w, "little") for c in vs]), "little") for vs in (u, v))
-    buf = (x * y >> (8 * w * lo)).to_bytes((len(u) + len(v) - 1 - lo) * w, "little")
+    buf = (_pack(u, w) * _pack(v, w) >> (8 * w * lo)).to_bytes((len(u) + len(v) - 1 - lo) * w, "little")
     return [int.from_bytes(buf[i : i + w], "little") % p for i in range(0, (hi - lo) * w, w)]
+
+
+def residue_width(p):
+    """Bytes per slot of a packed residue vector over F_p, in the layout of :func:`_pack`.
+
+    A slot may hold any value below 2^e, e = 2*bits(p) + 32: a residue plus
+    fewer than 2^32 products of two residues (the chain and the oracle add
+    no more per slot than the vector has slots).  Times the multiplier of
+    :func:`barrett`, at most 2^(e + 1), such a value stays in its slot.
+    """
+    return (4 * p.bit_length() + 72) // 8
+
+
+def pack_residues(cs, p):
+    """Residues mod p as one packed vector; for p <= 2^64 a slot is a 64-bit struct word and pad bytes."""
+    w = residue_width(p)
+    if p > 1 << 64:
+        return _pack(cs, w)
+    return int.from_bytes(struct.pack("<" + f"Q{w - 8}x" * len(cs), *cs), "little")
+
+
+def unpack_residues(v, n, p):
+    """The n slots of a reduced packed vector as a tuple: the inverse of :func:`pack_residues`."""
+    w = residue_width(p)
+    buf = v.to_bytes(n * w, "little")
+    if p > 1 << 64:
+        return tuple([int.from_bytes(buf[i : i + w], "little") for i in range(0, n * w, w)])
+    return struct.unpack("<" + f"Q{w - 8}x" * n, buf)
+
+
+def barrett(p, n):
+    """``(k, m, mask)``: what :func:`reduce_packed` needs for vectors of up to n slots over F_p.
+
+    m = ceil(2^k / p) with k = e + bits(p) makes floor(c*m / 2^k) exactly
+    floor(c/p) for every c below 2^e, as c*(m*p - 2^k) / (p*2^k) < 2^-bits(p)
+    < 1/p; mask keeps the low 8*w - k bits of each slot, where that quotient lands.
+    """
+    w, k = residue_width(p), 3 * p.bit_length() + 32
+    return k, -(-(1 << k) // p), int.from_bytes(((1 << (8 * w - k)) - 1).to_bytes(w, "little") * n, "little")
+
+
+def reduce_packed(v, p, kit):
+    """Every slot of a packed vector (each below 2^e) reduced mod p at once, ``kit`` from :func:`barrett`."""
+    k, m, mask = kit
+    return v - ((v * m >> k) & mask) * p
 
 
 def eval_raw(cs, x, y, p):

@@ -217,7 +217,9 @@ def test_step_quotients_stay_integral_over_q():
             member1, member2, branch, div1, div2 = _step(member1, member2, line, div1, div2)
             branches.add(branch)
             for member in (member1, member2):
-                assert all(type(c) is int for cs in member for c in cs)
+                # (quotient, degree, images...): the degree is the one entry that is not a tuple
+                assert type(member[1]) is int
+                assert all(type(c) is int for cs in (member[0], *member[2:]) for c in cs)
             theta1, theta2 = (_out_of_frame(member, line) for member in (member1, member2))
             for f, g in (theta1, theta2):
                 assert all(type(c) is int for c in f + g)
@@ -361,7 +363,7 @@ def ramp_cases(seed, count, fields=RAMP_FIELDS, max_lines=4):
 def test_degree_ramp_matches_full_ramp():
     for arrangement, form, upto in ramp_cases(seed=5, count=32):
         theta1, theta2 = map(member, build_basis(arrangement))
-        full = [(len(t1[1]) - 1, len(t2[1]) - 1) for t1, t2, _ in _ramp(theta1, theta2, _line(form), upto)]
+        full = [(t1[1], t2[1]) for t1, t2, _ in _ramp(theta1, theta2, _line(form), upto)]
         assert list(_ramp_degrees(theta1, theta2, _line(form), upto)) == full, (arrangement, form)
 
 

@@ -4,9 +4,11 @@ Each kernel is checked against an independent route: the dense product
 ``HomogPoly.__mul__``, the scale-and-add of ``HomogPoly``, exact Fraction
 arithmetic, the Derivation method that wraps it, or, for the product by a
 power of a form, that many products by the form, or for the Taylor test of
-divisibility, that many divisions by the form.
+divisibility, that many divisions by the form, or for packed residue
+vectors, ``% p`` on each slot.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from logvf import Derivation, Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 from logvf.derivation import apply, primitive
-from logvf.poly import div_linear, div_linear_power, eval_raw, taylor_vanishes, times_linear, times_linear_power
+from logvf.poly import barrett, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed, residue_width
+from logvf.poly import taylor_vanishes, times_linear, times_linear_power, unpack_residues
 
 FIELDS = [RATIONALS, Field(7), Field(101), Field(2**31 - 1)]
 
@@ -277,3 +280,28 @@ def test_kernels_take_the_balanced_residue(p):
         assert times_linear_power(cs, 1, b - p, p, k) == times_linear_power(cs, 1, b, p, k)
         assert div_linear(cs, 1, b - p, p) == div_linear(cs, 1, b, p)
         assert apply(cs, cs[::-1], 1, b - p, p) == apply(cs, cs[::-1], 1, b, p)
+
+
+# ----------------------------------------------------------------------
+# packed residue vectors over F_p, against % p on each slot
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1, 2**61 - 1, 2**64 + 13])
+def test_packed_reduction_at_the_bounds_of_a_slot(p):
+    # a slot may hold any value below 2^e, e = 2*bits(p) + 32: 0, p - 1, p,
+    # 2^e - 1 and the largest value below 2^e that is -1 mod p (where a short
+    # quotient estimate shows first) in every arrangement of three neighbouring
+    # slots, then seeded vectors
+    w, top = residue_width(p), (1 << (2 * p.bit_length() + 32)) - 1
+    bounds = (0, p - 1, p, top, top - (top + 1) % p)
+    rng = random.Random(p)
+    vectors = [list(v) for v in itertools.product(bounds, repeat=3)]
+    for _ in range(40):
+        vectors.append([rng.choice((*bounds, rng.randrange(top))) for _ in range(rng.randint(1, 60))])
+    for values in vectors:
+        packed = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in values), "little")
+        reduced = reduce_packed(packed, p, barrett(p, len(values)))
+        expected = tuple(v % p for v in values)
+        assert unpack_residues(reduced, len(values), p) == expected, values
+        assert pack_residues(expected, p) == reduced, values

@@ -205,15 +205,64 @@ def _plain_dim(arrangement, d):
     return 2 * (d + 1) - rank
 
 
-@pytest.mark.parametrize("field", [RATIONALS, Field(2), Field(101)], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, Field(2), Field(101), Field(2**31 - 1)], ids=str)
 def test_dim_degree_matches_plain_elimination(field):
     # with and without x and y (whose rows are unit rows), multiplicities up to
     # 9 > d + 1 at low degrees, every degree 0..|mu|
-    rng = random.Random(field.characteristic + 11)
+    p = field.characteristic
+    rng = random.Random(p + 11)
     x, y = LinearForm(field, 1, 0), LinearForm(field, 0, 1)
-    pool = [f for f in form_pool(field) if f not in (x, y)]
+    if p > 1000:  # too many hyperplanes to list: x + c*y for seeded c
+        pool = [LinearForm(field, 1, rng.randrange(1, p)) for _ in range(8)]
+    else:
+        pool = [f for f in form_pool(field) if f not in (x, y)]
     for trial in range(40):
         forms = [x] * (trial % 2) + [y] * (trial // 2 % 2) + rng.sample(pool, rng.randint(0, min(3, len(pool))))
         arr = Multiarrangement(field, {form: rng.randint(1, 9) for form in forms})
         for d in range(arr.total + 1):
             assert dim_degree(arr, d) == _plain_dim(arr, d), (arr, d)
+
+
+def list_rank_mod_p(rows, p):
+    """Rank over F_p by row reduction on lists, every entry reduced as it changes."""
+    mat = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(mat[0])):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] % p), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], -1, p)
+        for row in mat[rank + 1 :]:
+            factor = row[col] * inv % p
+            row[:] = [(v - factor * w) % p for v, w in zip(row, mat[rank])]
+        rank += 1
+    return rank
+
+
+def seeded_matrices(rng, p):
+    """Matrices of residues: square, rank deficient, more rows than columns, and largest slot growth."""
+    out = []
+    for _ in range(12):
+        n, m = rng.randint(1, 10), rng.randint(1, 12)
+        out.append([[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        basis = [[rng.randrange(p) for _ in range(m)] for _ in range(rng.randint(0, min(n, m) - 1))]
+        combos = [[rng.randrange(p) for _ in basis] for _ in range(n)]
+        out.append([[sum(c * row[j] for c, row in zip(cs, basis)) % p for j in range(m)] for cs in combos])
+        out.append([[rng.randrange(p) for _ in range(m)] for _ in range(m + rng.randint(1, 8))])
+    for n in (1, 5, 60):
+        # rows of p - 1 from the diagonal on pivot in order, and every pivot
+        # eliminates the last row (p - 1 on even columns): the most products per slot
+        out.append([[0] * i + [p - 1] * (n - i) for i in range(n)] + [[(p - 1) * (1 - j % 2) for j in range(n)]])
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1, 2**64 + 13], ids=str)
+def test_packed_rank_matches_list_elimination(p):
+    rng = random.Random(p % 1009)
+    deficient = 0
+    for rows in seeded_matrices(rng, p):
+        rank = list_rank_mod_p(rows, p)
+        assert oracle._rank_mod_p(rows, p) == rank, rows
+        deficient += rank < min(len(rows), len(rows[0]))
+    assert deficient >= 12

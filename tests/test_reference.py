@@ -5,8 +5,9 @@ rebuilds f and g once per line; the reference rewrites (f, g) and the
 quotients at every step.  Bases, their order, traces, exponents, single
 updates and sweep rows must be identical on seeded inputs over Q (lines of
 height up to 6, non-monic ones included), over F_2, F_3 and F_7 with every
-line, over F_101 and F_(2^31 - 1) up to |mu| 300, with degree ties, and on the
-full-size shapes of the benchmark's chain workloads.
+line, over F_101, F_(2^31 - 1), F_(2^61 - 1) and F_(2^64 + 13) up to |mu| 300,
+with degree ties, and on the full-size shapes of the benchmark's chain
+workloads.
 """
 
 import random
@@ -36,6 +37,8 @@ from logvf.poly import div_linear_power
 from conftest import reference_basis, reference_chain, reference_step
 
 P31 = Field(2**31 - 1)
+# the packed residue vectors of F_p chains: a struct word per slot up to 2^64, bytes beyond
+P61, P64 = Field(2**61 - 1), Field(2**64 + 13)
 
 
 def members(pair):
@@ -113,7 +116,7 @@ def test_every_line_of_a_small_prime_field(p):
         assert_matches_reference(Multiarrangement(field, {h: rng.randint(1, 30) for h in hyperplanes}))
 
 
-@pytest.mark.parametrize("field", [Field(101), P31], ids=str)
+@pytest.mark.parametrize("field", [Field(101), P31, P61, P64], ids=str)
 def test_large_prime_fields_up_to_300(field):
     rng = random.Random(field.characteristic % 1000)
     p = field.characteristic
@@ -173,7 +176,7 @@ def test_benchmark_frobenius_shapes(p):
     assert_matches_reference(frobenius_arrangement(p, 1, shifts))
 
 
-@pytest.mark.parametrize("field", [RATIONALS, Field(3), Field(101), P31], ids=str)
+@pytest.mark.parametrize("field", [RATIONALS, Field(3), Field(101), P31, P61, P64], ids=str)
 def test_single_updates(field):
     rng = random.Random(67)
     p = field.characteristic
