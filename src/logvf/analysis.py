@@ -17,7 +17,7 @@ from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
 from .basis import BasisPair, Branch, _line, _out_of_frame, _pair, _ramp, _ramp_degrees, _run_chain, verify_basis
 from .derivation import Derivation
 from .field import Field
-from .poly import HomogPoly, times_linear
+from .poly import HomogPoly, times_linear_power
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +151,13 @@ def unbalanced_exponents(arrangement: Multiarrangement):
 # ----------------------------------------------------------------------
 
 
+def _prime_field(p: int) -> Field:
+    """F_p for a Frobenius family, refusing p = 0: ``Field(0)`` is Q, which has no Frobenius power."""
+    if not p:
+        raise ValueError("the Frobenius families need a prime p, got 0")
+    return Field(p)
+
+
 def frobenius_derivation(p: int, i: int) -> Derivation:
     """The derivation x^(p^i) dx + y^(p^i) dy over F_p.
 
@@ -160,7 +167,7 @@ def frobenius_derivation(p: int, i: int) -> Derivation:
     """
     if i < 0:
         raise ValueError("the power index must be nonnegative")
-    field = Field(p)
+    field = _prime_field(p)
     q = p**i
     return Derivation(
         HomogPoly.monomial(field, q, q), HomogPoly.monomial(field, q, 0)
@@ -173,7 +180,7 @@ def frobenius_arrangement(p: int, i: int, shifts=None) -> Multiarrangement:
     ``shifts`` maps hyperplanes to integers in [0, p^(i+1) - p^i]; missing
     hyperplanes get shift 0.
     """
-    field = Field(p)
+    field = _prime_field(p)
     if i < 0:
         raise ValueError("the power index must be nonnegative")
     q = p**i
@@ -205,8 +212,7 @@ def frobenius_basis(p: int, i: int, shifts=None) -> BasisPair:
     theta1, theta2 = frobenius_derivation(p, i), frobenius_derivation(p, i + 1)
     f, g, q = theta1.f.coeffs, theta1.g.coeffs, p**i
     for form, mult in arrangement.items():
-        for _ in range(mult - q):
-            f, g = times_linear(f, form.ax, form.ay, p), times_linear(g, form.ax, form.ay, p)
+        f, g = (times_linear_power(cs, form.ax, form.ay, p, mult - q) for cs in (f, g))
     pair = _pair(arrangement.field, (f, g), (theta2.f.coeffs, theta2.g.coeffs))
     if not verify_basis(pair, arrangement):
         raise RuntimeError(

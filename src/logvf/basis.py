@@ -119,7 +119,7 @@ def _partner(a, b):
 def _into_frame(theta, line):
     """An ``(f, g)`` member as the ramp of a form alpha carries it: ``(theta(alpha), degree, theta(beta))``.
 
-    beta is y for x + c*y, x for y, and :func:`_partner` for a non-monic
+    beta is y for x + c*y (c = 0 for x), x for y, and :func:`_partner` for a non-monic
     form, so det(alpha, beta) = +-1.  A non-monic form carries g too, whose
     top coefficient signs the member: a*theta(beta) - c*theta(alpha) would
     need theta(alpha) in full, as their tops cancel when y is in A.  Over
@@ -127,7 +127,7 @@ def _into_frame(theta, line):
     """
     f, g = theta
     a, b, p = line
-    u, v = (g, f) if not a else (f, g) if not b else (apply(f, g, a, b, p), g)
+    u, v = (g, f) if not a else (apply(f, g, a, b, p), g)
     if a > 1:  # non-monic, so over Q
         return u, len(f) - 1, apply(f, g, *_partner(a, b), p), g
     return u, len(f) - 1, pack_residues(v, p) if p else v
@@ -142,8 +142,6 @@ def _out_of_frame(member, line):
     h = times_linear_power(u, a, b, p, degree + 1 - len(u))  # theta(alpha)
     if not a:
         return v, h
-    if not b:
-        return h, v
     if a == 1:  # f = theta(alpha) - b*g
         if p:
             return tuple([(s - b * t) % p for s, t in zip(h, v)]), v

@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from .analysis import (
+    _prime_field,
     frobenius_arrangement,
     frobenius_basis,
     proposition_experiment,
@@ -19,7 +20,7 @@ from .analysis import (
     unbalanced_exponents,
 )
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
-from .basis import BasisPair, build_basis, exponents, verify_basis
+from .basis import BasisPair, build_basis, exponents
 from .derivation import Derivation
 from .field import Field
 from .oracle import dimension_table, exponents_by_oracle
@@ -73,6 +74,8 @@ def parse_arrangement_text(text: str) -> Multiarrangement:
                     field = Field(int(tokens[2]))
                 except ValueError as exc:
                     raise ParseError(line_no, str(exc)) from None
+                if not field.characteristic:  # Field(0) is Q
+                    raise ParseError(line_no, f"field F needs a prime, got {tokens[2]}")
             else:
                 raise ParseError(line_no, "field must be 'Q' or 'F <prime>'")
             continue
@@ -171,12 +174,14 @@ def cmd_verify(args) -> int:
     theta2 = Derivation.from_text(field, args.theta2)
     _check_limit("verify", "degree", max(theta1.degree, theta2.degree), VERIFY_DEGREE_LIMIT)
     # label each derivation as given; a BasisPair would reorder them by degree
-    for name, theta in (("theta1", theta1), ("theta2", theta2)):
-        print(f"{name} in D(A, mu): {'true' if theta.is_member(arrangement) else 'false'}")
-    pair = BasisPair(theta1, theta2)
-    print(f"independent: {'true' if pair.independent() else 'false'}")
+    members = [theta.is_member(arrangement) for theta in (theta1, theta2)]
+    for name, member in zip(("theta1", "theta2"), members):
+        print(f"{name} in D(A, mu): {'true' if member else 'false'}")
+    independent = BasisPair(theta1, theta2).independent()
+    print(f"independent: {'true' if independent else 'false'}")
     print(f"degree sum: {theta1.degree + theta2.degree}, |mu|: {arrangement.total}")
-    ok = verify_basis(pair, arrangement)
+    # Saito's criterion, which verify_basis decides, read off the facts printed above
+    ok = all(members) and independent and theta1.degree + theta2.degree == arrangement.total
     print(f"basis: {'true' if ok else 'false'}")
     return 0 if ok else 1
 
@@ -203,7 +208,7 @@ def cmd_trace(args) -> int:
 
 def cmd_frobenius(args) -> int:
     p, i = args.p, args.i
-    field = Field(p)
+    field = _prime_field(p)
     # |mu| > p^(i+1); compare without building p^i, which may be huge
     e = max(i, 0) + 1
     if p ** min(e, FROBENIUS_TOTAL_LIMIT.bit_length()) > FROBENIUS_TOTAL_LIMIT:

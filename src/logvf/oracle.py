@@ -18,7 +18,6 @@ space as the rows of the reduced forms.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, repeat
 from operator import mul
 
 from .arrangement import Multiarrangement
@@ -28,37 +27,30 @@ from .poly import barrett, pack_residues, reduce_packed, residue_width
 def _constraint_rows(arrangement: Multiarrangement, d: int):
     """The linear system cutting out D(A, mu)_d inside K^(2(d+1)), as ``(fixed, rows)``.
 
-    Unknowns are ordered f_0..f_d, g_0..g_d where f_j is the coefficient of
-    x^j y^(d-j) in f (and likewise for g).  x and y give unit rows f_k = 0 and
-    g_(d-k) = 0, k < min(mu, d + 1): ``fixed`` holds their columns.
+    Unknowns are f_0..f_d, g_0..g_d where f_j is the coefficient of x^j
+    y^(d-j) in f (and likewise for g).  x^n and y^n, n = min(mu, d + 1), fix
+    f_0..f_(n-1) and g_(d+1-n)..g_d at zero: ``fixed`` counts them, and each
+    row lists only the other unknowns, the free f_j, then the free g_j.
     """
     p = arrangement.field.characteristic
-    fixed, rows = set(), []
-    for form, mult in arrangement.items():
+    items = arrangement.items()
+    nx = next((min(mult, d + 1) for form, mult in items if not form.ay), 0)
+    ny = next((min(mult, d + 1) for form, mult in items if not form.ax), 0)
+    rows = []
+    for form, mult in items:
         ax, ay = form.ax, form.ay
-        n = min(mult, d + 1)
         if not ax or not ay:
-            fixed.update(range(2 * (d + 1) - n, 2 * (d + 1)) if not ax else range(n))
             continue
-        # ax^0, ..., ax^(d+1) over Q; over F_p ax = 1 and rows need no scale
-        pw = None if p else list(accumulate(repeat(ax, d + 1), mul, initial=1))
-        for k in range(n):
-            # ax^(d+1-k) times the u^k coefficient of h = ax*f + ay*g:
-            # sum_j C(j, k) * (-ay)^(j-k) * ax^(d-j) * (ax*f_j + ay*g_j)
-            row = [0] * (2 * (d + 1))
-            t = 1
-            for j in range(k, d + 1):
-                w = math.comb(j, k) * t
-                if p:
-                    w %= p
-                    row[j] = w
-                    row[(d + 1) + j] = w * ay % p
-                else:
-                    row[j] = w * pw[d + 1 - j]
-                    row[(d + 1) + j] = w * ay * pw[d - j]
-                t = t * -ay % p if p else t * -ay
-            rows.append(row)
-    return fixed, rows
+        # ax^(d+1-k) times the u^k coefficient of h = ax*f + ay*g (ax = 1 over F_p) is
+        # sum_j C(j, k) * (-ay)^(j-k) * (ax^(d+1-j) * f_j + ay*ax^(d-j) * g_j)
+        minus = [pow(-ay, i, p or None) for i in range(d + 1)]  # mod p keeps the entries small
+        fs = [ax ** (d + 1 - j) for j in range(nx, d + 1)]
+        gs = [ay * ax ** (d - j) for j in range(d + 1 - ny)]
+        for k in range(min(mult, d + 1)):
+            w = [0] * k + [math.comb(j, k) * minus[j - k] for j in range(k, d + 1)]
+            row = [*map(mul, w[nx:], fs), *map(mul, w, gs)]
+            rows.append([c % p for c in row] if p else row)
+    return nx + ny, rows
 
 
 def _rank_rational(rows) -> int:
@@ -118,12 +110,9 @@ def dim_degree(arrangement: Multiarrangement, d: int) -> int:
     if d < 0:
         raise ValueError("degree must be nonnegative")
     fixed, rows = _constraint_rows(arrangement, d)
-    # a unit row is rank one on its own column, which the other rows can drop
-    keep = [j for j in range(2 * (d + 1)) if j not in fixed]
-    rows = [[row[j] for j in keep] for row in rows]
     p = arrangement.field.characteristic
     rank = (_rank_mod_p(rows, p) if p else _rank_rational(rows)) if rows else 0
-    return 2 * (d + 1) - len(fixed) - rank
+    return 2 * (d + 1) - fixed - rank
 
 
 def dimension_table(arrangement: Multiarrangement) -> list[int]:

@@ -56,23 +56,18 @@ def times_linear(cs, a, b, p):
 def times_linear_power(cs, a, b, p, k):
     """Multiply by the form's ``k``-th power, as ``k`` calls of :func:`times_linear` would (ints over Q).
 
-    x and y only shift the coefficients, and below the fourth power the
-    products are cheaper one at a time.  Otherwise both factors are packed
-    into Python ints, one coefficient per slot of w bytes, multiplied once
-    and unpacked (Kronecker substitution).  Over F_p the power's coefficients
-    C(k, j) a^j b^(k-j) are reduced first and the slots hold sums of at most
-    min(deg + 1, k + 1) products below p^2.  Over Q the power is packed as
-    (b + a*2^(8w))^k, and every slot is biased by half its range, so signed
-    coefficients below (|a| + |b|)^k * max|c| fit and unpack without borrows.
+    x and y only shift the coefficients.  For any other form both factors
+    are packed into Python ints, one coefficient per slot of w bytes,
+    multiplied once and unpacked (Kronecker substitution).  Over F_p the
+    power's coefficients C(k, j) a^j b^(k-j) are reduced first and the slots
+    hold sums of at most min(deg + 1, k + 1) products below p^2.  Over Q the
+    power is packed as (b + a*2^(8w))^k, and every slot is biased by half its
+    range, so signed coefficients below (|a| + |b|)^k * max|c| fit and unpack without borrows.
     """
-    if not a:  # y
+    if not a or not k:  # y, or the 0th power
         return cs + (0,) * k
     if not b:  # x
         return (0,) * k + cs
-    if k < 4:
-        for _ in range(k):
-            cs = times_linear(cs, a, b, p)
-        return cs
     if p:
         powers = [1]
         for _ in range(k):

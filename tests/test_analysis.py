@@ -283,6 +283,13 @@ def test_frobenius_derivation_examples():
         frobenius_derivation(2, -1)
 
 
+@pytest.mark.parametrize("build", [frobenius_derivation, frobenius_arrangement, frobenius_basis])
+def test_frobenius_families_refuse_p_zero(build):
+    # Field(0) is Q, which has no Frobenius power
+    with pytest.raises(ValueError, match="need a prime p, got 0"):
+        build(0, 0)
+
+
 def test_frobenius_derivation_membership():
     for p in (2, 3, 5):
         for i in (0, 1):

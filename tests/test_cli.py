@@ -15,6 +15,7 @@ from logvf import (
     PropositionReport,
     RATIONALS,
     build_basis,
+    verify_basis,
 )
 from logvf.cli import (
     CHAIN_TOTAL_LIMIT,
@@ -172,6 +173,29 @@ def test_verify_command_accepts_and_rejects(tmp_path, capsys):
     assert swapped == 1
     out = capsys.readouterr().out
     assert "theta1 in D(A, mu): false" in out and "theta2 in D(A, mu): true" in out
+
+
+def test_verify_command_decides_as_verify_basis(tmp_path, capsys, monkeypatch):
+    # the verdict is read off the printed facts, each membership decided once; verify_basis
+    # must agree on bases, dependent pairs, non-members and pairs of the wrong degree sum
+    calls = []
+    is_member = Derivation.is_member
+    monkeypatch.setattr(Derivation, "is_member", lambda theta, arr: calls.append(theta) or is_member(theta, arr))
+    verdicts = set()
+    for arr in sample_arrangements(17, 12, max_total=8):
+        field = arr.field
+        theta1, theta2 = build_basis(arr)
+        path = write(tmp_path, render_arrangement(arr))
+        for pair in [(theta1, theta2), (theta2, theta1), (theta2, theta2), (Derivation.euler(field), theta2),
+                     (Derivation.partial_x(field), theta1)]:
+            expected = verify_basis(BasisPair(*pair), arr)
+            calls.clear()
+            status = main(["verify", path, "--theta1", pair[0].to_text(), "--theta2", pair[1].to_text()])
+            assert status == (0 if expected else 1), (arr, pair)
+            assert capsys.readouterr().out.endswith(f"basis: {'true' if expected else 'false'}\n")
+            assert len(calls) == 2
+            verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_verify_command_degree_limit(tmp_path, capsys, monkeypatch):
@@ -350,6 +374,17 @@ def test_oversized_field_exits_fast(tmp_path, capsys):
     assert "line 1" in err and "too large" in err
 
 
+def test_field_f_zero_is_refused(tmp_path, capsys):
+    # Field(0) is Q: a file headed "field F 0" must not run over the rationals
+    text = "field F 0\n1 1 2\n1 0 1\n0 1 1\n"
+    with pytest.raises(ParseError, match="^line 1: field F needs a prime, got 0$"):
+        parse_arrangement_text(text)
+    assert main(["exponents", write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1: field F needs a prime, got 0\n"
+
+
 def test_file_errors(tmp_path, capsys):
     assert main(["basis", str(tmp_path / "missing.txt")]) == 2
     assert "error:" in capsys.readouterr().err
@@ -382,6 +417,14 @@ def test_frobenius_command_bad_input(capsys):
     capsys.readouterr()
     assert main(["frobenius", "2", "0", "--shifts", "0,1/2,x"]) == 2
     assert capsys.readouterr().err == "error: --shifts values must be integers\n"
+
+
+@pytest.mark.parametrize("args", [["0", "0"], ["0", "3"], ["0", "0", "--shifts", "0"]])
+def test_frobenius_command_refuses_p_zero(capsys, args):
+    assert main(["frobenius", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the Frobenius families need a prime p, got 0\n"
 
 
 @pytest.mark.parametrize(

@@ -145,7 +145,7 @@ def test_method_primitive_clears_denominators_before_the_kernel(pair):
 # forms in normal form over Q with a in {0, 1, 2, 3} and b in [-3, 3]
 Q_FORMS = [(0, 1)] + [(a, b) for a in (1, 2, 3) for b in range(-3, 4) if math.gcd(a, b) == 1]
 POWER_PRIMES = [2, 3, 7, 101, 2**31 - 1]
-POWERS = [0, 1, 2, 4, 150]  # below 4 the kernel multiplies one factor at a time
+POWERS = [0, 1, 2, 3, 4, 150]
 
 
 def power_by_steps(cs, a, b, p, k):
@@ -208,7 +208,7 @@ def test_power_product_on_seeded_tuples():
 
 
 @pytest.mark.parametrize("form", [(1, -1), (2, -3), (3, -1), (1, 3)])
-@pytest.mark.parametrize("k", [4, 7, 150])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 150])
 def test_power_product_at_the_slot_bound(form, k):
     # coefficients of largest size and alternating signs against a form with
     # b < 0 line up every product's sign: the result reaches max|c| * (|a| + |b|)^k

@@ -182,7 +182,7 @@ def test_constraint_rows_are_integral_scalings_of_the_slope_rows(field, extra):
         for d in range(arr.total + 1):
             fixed, rows = oracle._constraint_rows(arr, d)
             assert all(type(v) is int for row in rows for v in row)
-            # x and y come back as the columns of their unit rows, the rest as rows
+            # x and y fix the columns of their unit rows; the other rows list only the free columns
             slope, expected, units = iter(_slope_rows(arr, d)), [], []
             for form, mult in arr.items():
                 for k in range(min(mult, d + 1)):
@@ -191,15 +191,19 @@ def test_constraint_rows_are_integral_scalings_of_the_slope_rows(field, extra):
                         expected.append([v * form.ax ** (d + 1 - k) for v in row])
                     else:
                         units.append(row)
-            assert rows == expected
             assert all(row.count(0) == len(row) - 1 and 1 in row for row in units)
-            assert sorted(fixed) == sorted(row.index(1) for row in units)
+            columns = {row.index(1) for row in units}
+            assert fixed == len(units) == len(columns)
+            free = [j for j in range(2 * (d + 1)) if j not in columns]
+            assert rows == [[row[j] for j in free] for row in expected]
 
 
 def _plain_dim(arrangement, d):
-    """dim D_d by eliminating every constraint row, unit rows included."""
-    fixed, rows = oracle._constraint_rows(arrangement, d)
-    rows += [[int(j == c) for j in range(2 * (d + 1))] for c in fixed]
+    """dim D_d by eliminating every slope row, unit rows included, each scaled to integers."""
+    rows = []
+    for row in _slope_rows(arrangement, d):
+        den = math.lcm(*(Fraction(v).denominator for v in row))
+        rows.append([int(v * den) for v in row])
     p = arrangement.field.characteristic
     rank = (oracle._rank_mod_p(rows, p) if p else oracle._rank_rational(rows)) if rows else 0
     return 2 * (d + 1) - rank
