@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
 from .basis import BasisPair, Branch, _line, _out_of_frame, _pair, _ramp, _ramp_degrees, _run_chain, verify_basis
-from .derivation import Derivation
+from .derivation import Derivation, apply
 from .field import Field
-from .poly import HomogPoly, times_linear_power
+from .poly import HomogPoly, eval_raw, times_linear_power
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +89,8 @@ class NoGenericFormError(Exception):
 
 def _avoids_obstruction(theta2: Derivation, form: LinearForm) -> bool:
     """True when form does not divide theta2(form)."""
-    return bool(theta2.apply(form).eval_raw(*form.point_raw()))
+    a, b, p = form.ax, form.ay, form.field.characteristic
+    return bool(eval_raw(apply(theta2.f.coeffs, theta2.g.coeffs, a, b, p), *form.point_raw(), p))
 
 
 def _ladder():
@@ -226,8 +227,6 @@ def frobenius_basis(p: int, i: int, shifts=None) -> BasisPair:
 # ----------------------------------------------------------------------
 
 _EXPERIMENT_COEFFS = ((1, 1), (1, -1), (1, 0), (0, 1))  # x+y, x-y, x, y
-# the permutations of those positions that keep the pairs {x+y, x-y} and {x, y}
-_SYMMETRIES = [s for s in permutations(range(4)) if sorted(s[:2]) in ([0, 1], [2, 3])]
 # x+y, x, y, x-y: the walk order measured fastest on cubes [lo, lo+1]^4.  A representative
 # then has the pair {x, y} in the middle, sorted, which prunes more nodes than the other
 # layout, and x and y, whose products and divisions are slices, take the costly middle levels

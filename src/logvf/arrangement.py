@@ -33,8 +33,9 @@ class LinearForm:
         b = field.coerce(ay)
         if not a and not b:
             raise ValueError("the zero form does not define a hyperplane")
-        if field.characteristic:
-            a, b = (1, field.div_raw(b, a)) if a else (0, 1)
+        p = field.characteristic
+        if p:
+            a, b = (1, b * pow(a, -1, p) % p) if a else (0, 1)
         else:
             den = lcm(a.denominator, b.denominator)
             a = a.numerator * (den // a.denominator)

@@ -111,7 +111,7 @@ def _pair(field, theta1, theta2) -> BasisPair:
 
 
 def _partner(a, b):
-    """``(c, e)`` with a*e - b*c = 1, for a primitive integer form a*x + b*y with a >= 2."""
+    """``(c, e)`` with a*e - b*c = 1, for a form a*x + b*y with a >= 1 and gcd(a, b) = 1 ((0, 1) when a = 1)."""
     c = -pow(b, -1, a)
     return c, (1 + b * c) // a
 
@@ -142,12 +142,9 @@ def _out_of_frame(member, line):
     h = times_linear_power(u, a, b, p, degree + 1 - len(u))  # theta(alpha)
     if not a:
         return v, h
-    if a == 1:  # f = theta(alpha) - b*g
-        if p:
-            return tuple([(s - b * t) % p for s, t in zip(h, v)]), v
-        return tuple([s - b * t for s, t in zip(h, v)]), v
-    e = _partner(a, b)[1]
-    return tuple([e * s - b * t for s, t in zip(h, v)]), member[3]
+    e, pairs = _partner(a, b)[1], zip(h, v)  # f = e*theta(alpha) - b*theta(beta), e = 1 for a monic form
+    f = [(e * s - b * t) % p for s, t in pairs] if p else [e * s - b * t for s, t in pairs]
+    return tuple(f), member[3] if a > 1 else v
 
 
 def _primitive(member, line):
@@ -171,7 +168,7 @@ def _primitive(member, line):
     return u, degree, v, *rest
 
 
-def _step(theta1, theta2, line, div1=None, div2=None, kit=None):
+def _step(theta1, theta2, line, div1, div2, kit):
     """One multiplicity-raising update; the engine behind the public operations.
 
     ``line`` is :func:`_line` of a form alpha of multiplicity k, and each
@@ -186,17 +183,15 @@ def _step(theta1, theta2, line, div1=None, div2=None, kit=None):
     like every member returned: by Gauss's lemma their products with the
     primitive form stay primitive, with the same sign, so only the generic
     combination is reduced and every value stays an integer.  Over F_p the
-    image is packed, ``kit`` is :func:`poly.barrett`'s for at least
-    degree + 2 slots, and the generic g1 + q*g2 is one product by q packed.
-    Every division is remainder-checked: a violated precondition raises
-    InexactDivisionError rather than giving a wrong answer.
+    image is packed, ``kit`` is :func:`poly.barrett`'s for at least degree
+    + 2 slots (None over Q), and the generic g1 + q*g2 is one product by q
+    packed.  Every division is remainder-checked: a violated precondition
+    raises InexactDivisionError rather than giving a wrong answer.
     """
     if theta1[1] < theta2[1]:
         theta1, theta2, div1, div2 = theta2, theta1, div2, div1
     a, b, p = line
     d = theta1[1] - theta2[1]
-    if p and not kit:
-        kit = barrett(p, theta1[1] + 2)
     branch, u1, u2, num, den, div = _advance(theta1[0], theta2[0], line, d, div1, div2)
     if branch is Branch.G_VANISHING:
         theta1 = (u1, theta1[1] + 1, *_times_form(theta1[2:], line, kit))
@@ -205,9 +200,8 @@ def _step(theta1, theta2, line, div1=None, div2=None, kit=None):
     theta2 = (u2, theta2[1] + 1, *_times_form(images, line, kit))
     if branch is Branch.F_VANISHING:
         return (u1, *theta1[1:]), theta2, branch, None, div
-    if p:  # primitive() is the identity over F_p
-        w = residue_width(p)  # q is num, then ones on slots 1..d; num on slot d for the form y
-        q = num + int.from_bytes(bytes(w) + (b"\x01" + bytes(w - 1)) * d, "little") if a else num << 8 * w * d
+    if p:  # primitive() is the identity over F_p; q as in _plus_q_times, with den = 1
+        q = pack_residues((num,) + (1,) * d if a else (0,) * d + (num,), p)
         return (u1, theta1[1], reduce_packed(theta1[2] + images[0] * q, p, kit)), theta2, branch, None, div
     theta1 = (u1, theta1[1], *[_plus_q_times(s, t, num, den, a, p) for s, t in zip(theta1[2:], images)])
     return _primitive(theta1, line), theta2, branch, None, div
@@ -222,7 +216,7 @@ def _times_form(images, line, kit):
     return [v if not a else v << w if not b else reduce_packed(v * (b % p) + (v << w), p, kit)]
 
 
-def _advance(f_quot, g_quot, line, d, f_div=None, g_div=None):
+def _advance(f_quot, g_quot, line, d, f_div, g_div):
     """:func:`_step` on the quotients alone: ``(branch, f', g', num, den, div)``.
 
     The quotients belong to a pair whose degrees differ by ``d`` >= 0,
@@ -351,7 +345,7 @@ def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
     for theta in (theta.primitive()[0] for theta in pair):
         u, *rest = _into_frame((theta.f.coeffs, theta.g.coeffs), line)
         members.append((div_linear_power(u, a, b, p, mult), *rest))
-    theta1, theta2, _, _, _ = _step(*members, line)
+    theta1, theta2, _, _, _ = _step(*members, line, None, None, barrett(p, pair.theta1.degree + 2) if p else None)
     return _pair(pair.field, *(_out_of_frame(theta, line) for theta in (theta1, theta2)))
 
 

@@ -116,7 +116,7 @@ class Field:
         return num * pow(den, -1, p) % p
 
     def div_raw(self, a, b):
-        """``a / b`` for raw residues of F_p (prime fields only)."""
+        """``a / b`` for raw residues of F_p; ``logvf`` does not call it, the ``perfbench/`` benchmark wraps it."""
         if not b:
             raise ZeroDivisionError("division by zero field element")
         p = self.characteristic

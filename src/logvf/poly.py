@@ -13,13 +13,14 @@ integer division by the leading coefficient.
 
 Each kernel is one function on a coefficient tuple ``cs``, a form a*x + b*y
 and the characteristic ``p`` (0 for Q); the determinant's is
-``derivation.determinant_coefficient``.  Over F_p the chain's images and the
-oracle's rows are packed residue vectors, reduced by :func:`reduce_packed`.
-:func:`taylor_vanishes` is F_p-only (degree below p, as it inverts
-factorials mod p).  ``HomogPoly.__add__``,
-``__mul__``, ``scale``, ``times_linear`` and ``_div_linear`` have no caller here but
-``Derivation.plus_scaled`` and ``times_linear``, which have none; all seven
-stay only because the ``perfbench/`` benchmark wraps them by name.
+``derivation.determinant_coefficient``.  :func:`_packed_product` is the one
+Kronecker product, over Q and F_p, and :func:`_pack` the one packer, also of
+the packed residue vectors of the chain and the oracle over F_p.
+:func:`taylor_vanishes` is F_p-only (degree below p, as it inverts factorials
+mod p).  ``HomogPoly.__add__``, ``__mul__``, ``scale``, ``times_linear``,
+``_div_linear`` and ``eval_raw`` have no caller here but ``Derivation.apply``,
+``plus_scaled`` and ``times_linear``, which have none; all nine stay only
+because the ``perfbench/`` benchmark wraps them by name.
 """
 
 from __future__ import annotations
@@ -56,36 +57,19 @@ def times_linear(cs, a, b, p):
 def times_linear_power(cs, a, b, p, k):
     """Multiply by the form's ``k``-th power, as ``k`` calls of :func:`times_linear` would (ints over Q).
 
-    x and y only shift the coefficients.  For any other form both factors
-    are packed into Python ints, one coefficient per slot of w bytes,
-    multiplied once and unpacked (Kronecker substitution).  Over F_p the
-    power's coefficients C(k, j) a^j b^(k-j) are reduced first and the slots
-    hold sums of at most min(deg + 1, k + 1) products below p^2.  Over Q the
-    power is packed as (b + a*2^(8w))^k, and every slot is biased by half its
-    range, so signed coefficients below (|a| + |b|)^k * max|c| fit and unpack without borrows.
+    x and y only shift the coefficients.  For any other form the power's
+    coefficients C(k, j) a^j b^(k-j), reduced mod p over F_p, are one factor
+    of :func:`_packed_product` (Kronecker substitution).
     """
     if not a or not k:  # y, or the 0th power
         return cs + (0,) * k
     if not b:  # x
         return (0,) * k + cs
-    if p:
-        powers = [1]
-        for _ in range(k):
-            powers.append(powers[-1] * b % p)
-        row, c, ap = [], 1, 1
-        for j in range(k + 1):
-            row.append(c * ap * powers[k - j] % p)
-            c, ap = c * (k - j) // (j + 1), ap * a % p
-        return tuple(_packed_product(cs, row, p, 0, len(cs) + k))
-    n = len(cs) + k
-    bits = max(map(abs, cs)).bit_length() + ((abs(a) + abs(b)) ** k).bit_length() + 1
-    w = (bits + 7) // 8
-    half = 1 << (8 * w - 1)
-    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")  # half in every slot
-    packed = int.from_bytes(b"".join([(c + half).to_bytes(w, "little") for c in cs]), "little")
-    packed -= bias >> (8 * w * k)
-    buf = (packed * (b + (a << (8 * w))) ** k + bias).to_bytes(n * w, "little")
-    return tuple([int.from_bytes(buf[i : i + w], "little") - half for i in range(0, n * w, w)])
+    row, c, bp = [0] * (k + 1), a**k, 1
+    for j in range(k, -1, -1):  # c = C(k, j) * a^j, bp = b^(k-j)
+        row[j] = c * bp % p if p else c * bp
+        c, bp = c * j // ((k + 1 - j) * a), bp * b % p if p else bp * b
+    return tuple(_packed_product(cs, row, p, 0, len(cs) + k))
 
 
 def taylor_vanishes(cs, b, p, m, fact, inv):
@@ -102,19 +86,35 @@ def taylor_vanishes(cs, b, p, m, fact, inv):
     return not any(_packed_product(rev, g, p, d + 1 - m, d + 1))
 
 
-def _pack(cs, w):
-    """Nonnegative ints as one int, entry i in bytes i*w .. i*w + w - 1 (little-endian)."""
+def _pack(cs, w, p):
+    """Nonnegative ints below 2^(8w) as one int, entry i in bytes i*w .. i*w + w - 1 (little-endian).
+
+    Residues (0 < p <= 2^64) in slots of at least 8 bytes are written as
+    64-bit struct words and pad bytes, anything else by ``int.to_bytes``.
+    """
+    if 0 < p <= 1 << 64 and w >= 8:
+        return int.from_bytes(struct.pack("<" + f"Q{w - 8}x" * len(cs), *cs), "little")
     return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
 
 
 def _packed_product(u, v, p, lo, hi):
-    """Slots lo..hi-1 of u*v mod p for residue lists, from one product of packed ints.
+    """Slots lo..hi-1 of u*v, reduced mod p for residues over F_p, from one product of packed ints.
 
-    A slot sums at most min(len(u), len(v)) products below p^2: w bytes hold it.
+    A slot sums at most n = min(len(u), len(v)) products, below p^2 over F_p,
+    or of size below max|u|*max|v| over Q: w bytes hold it.  Over Q every slot
+    is biased by half its range, so signed slots pack and unpack without borrows.
     """
-    w = (2 * (p - 1).bit_length() + min(len(u), len(v)).bit_length() + 7) // 8
-    buf = (_pack(u, w) * _pack(v, w) >> (8 * w * lo)).to_bytes((len(u) + len(v) - 1 - lo) * w, "little")
-    return [int.from_bytes(buf[i : i + w], "little") % p for i in range(0, (hi - lo) * w, w)]
+    m, n = len(u) + len(v) - 1, min(len(u), len(v))
+    if p:
+        w = (2 * (p - 1).bit_length() + n.bit_length() + 7) // 8
+        buf = (_pack(u, w, p) * _pack(v, w, p) >> 8 * w * lo).to_bytes((m - lo) * w, "little")
+        return [int.from_bytes(buf[i : i + w], "little") % p for i in range(0, (hi - lo) * w, w)]
+    w = (max(map(abs, u)).bit_length() + max(map(abs, v)).bit_length() + n.bit_length() + 8) // 8
+    half = 1 << (8 * w - 1)
+    bias = int.from_bytes(half.to_bytes(w, "little") * m, "little")  # half in every slot
+    u, v = (_pack([c + half for c in cs], w, p) - (bias >> 8 * w * (m - len(cs))) for cs in (u, v))
+    buf = (u * v + bias >> 8 * w * lo).to_bytes((m - lo) * w, "little")
+    return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, (hi - lo) * w, w)]
 
 
 def residue_width(p):
@@ -129,11 +129,8 @@ def residue_width(p):
 
 
 def pack_residues(cs, p):
-    """Residues mod p as one packed vector; for p <= 2^64 a slot is a 64-bit struct word and pad bytes."""
-    w = residue_width(p)
-    if p > 1 << 64:
-        return _pack(cs, w)
-    return int.from_bytes(struct.pack("<" + f"Q{w - 8}x" * len(cs), *cs), "little")
+    """Residues mod p as one packed vector: :func:`_pack` at :func:`residue_width`."""
+    return _pack(cs, residue_width(p), p)
 
 
 def unpack_residues(v, n, p):

@@ -24,8 +24,9 @@ from logvf import (
     verify_basis,
 )
 from logvf import basis
-from logvf.basis import _into_frame, _line, _out_of_frame, _pair, _plus_q_times, _ramp, _ramp_degrees, _step
-from logvf.poly import div_linear, div_linear_power, eval_raw
+from logvf.basis import _into_frame, _line, _out_of_frame, _plus_q_times, _ramp, _ramp_degrees, _step
+from logvf.derivation import apply, primitive
+from logvf.poly import barrett, div_linear, div_linear_power, eval_raw
 
 from conftest import dense_determinant, dense_product, sample_arrangements
 
@@ -53,7 +54,8 @@ def step(theta1, theta2, form, mult):
     for theta in (theta1, theta2):
         u, *images = _into_frame(theta, line)
         members.append((div_linear_power(u, a, b, p, mult), *images))
-    new1, new2, branch, div1, div2 = _step(*members, line)
+    kit = barrett(p, max(len(theta1[0]), len(theta2[0])) + 1) if p else None
+    new1, new2, branch, div1, div2 = _step(*members, line, None, None, kit)
     return _out_of_frame(new1, line), _out_of_frame(new2, line), branch, div1, div2
 
 
@@ -214,7 +216,7 @@ def test_step_quotients_stay_integral_over_q():
         member1, member2 = (_into_frame(theta, line) for theta in (theta1, theta2))
         div1 = div2 = None
         for _ in range(5):
-            member1, member2, branch, div1, div2 = _step(member1, member2, line, div1, div2)
+            member1, member2, branch, div1, div2 = _step(member1, member2, line, div1, div2, None)
             branches.add(branch)
             for member in (member1, member2):
                 # (quotient, degree, images...): the degree is the one entry that is not a tuple
@@ -265,29 +267,28 @@ FIELDS_FOR_KERNEL = [RATIONALS, Field(7), Field(2**31 - 1)]
     ax=st.sampled_from([0, 1, 3]),  # 0: the form is y
 )
 def test_window_sum_combination_matches_dense_product(field, d, small, big_seed, num, den, ax):
-    # den*big + q*small with q built densely and multiplied by HomogPoly.__mul__
+    # den*big + q*small with q built densely and multiplied by a plain double loop
     p = field.characteristic
     if p:
         num, den = num % p, 1
-    small = HomogPoly(field, small)
-    big = HomogPoly(field, big_seed[: small.degree + d + 1])
+    small = HomogPoly(field, small).coeffs
+    big = HomogPoly(field, big_seed[: len(small) + d]).coeffs
     q_coeffs = (num,) + (den,) * d if ax else (0,) * d + (num,)
-    reference = big.scale(den) + HomogPoly._raw(field, q_coeffs) * small
-    out = _plus_q_times(big.coeffs, small.coeffs, num, den, ax, p)
-    assert len(out) == big.degree + 1
-    assert out == reference.coeffs
+    product = dense_product(q_coeffs, small, p)
+    reference = tuple((den * s + t) % p if p else den * s + t for s, t in zip(big, product))
+    out = _plus_q_times(big, small, num, den, ax, p)
+    assert len(out) == len(big)
+    assert out == reference
 
 
 def _generic_reference(theta1, theta2, form, mult):
-    """den*theta1 + q*theta2 of a generic step, num/den solved for from point values."""
-    field = theta1.field
-    p = field.characteristic
+    """den*theta1 + q*theta2 of a generic step on ``(f, g)`` members, num/den solved for from point values."""
+    a, b, p = form.ax, form.ay, form.field.characteristic
     px, py = form.point_raw()
     f_val, g_val = (
-        eval_raw(div_linear_power(theta.apply(form).coeffs, form.ax, form.ay, p, mult), px, py, p)
-        for theta in (theta1, theta2)
+        eval_raw(div_linear_power(apply(f, g, a, b, p), a, b, p, mult), px, py, p) for f, g in (theta1, theta2)
     )
-    d = theta1.degree - theta2.degree
+    d = len(theta1[0]) - len(theta2[0])
     # (den*f + q*g)(point) = 0 with q(point) = num*py^d + den*tail, or num*px^d
     tail = sum(px**j * py ** (d - j) for j in range(1, d + 1)) if py else 0
     top, bottom = -(f_val + tail * g_val), g_val * (py**d if py else px**d)
@@ -297,9 +298,11 @@ def _generic_reference(theta1, theta2, form, mult):
         ratio = Fraction(top, bottom)
         num, den = ratio.numerator, ratio.denominator
     q_coeffs = (num,) + (den,) * d if py else (0,) * d + (num,)
-    q = HomogPoly._raw(field, q_coeffs)
-    scaled = Derivation(theta1.f.scale(den), theta1.g.scale(den))
-    return scaled.plus_scaled(q, theta2).primitive()[0]
+    f, g = (
+        tuple((den * s + t) % p if p else den * s + t for s, t in zip(c1, dense_product(q_coeffs, c2, p)))
+        for c1, c2 in zip(theta1, theta2)
+    )
+    return (f, g) if p else primitive(f, g)[:2]
 
 
 def test_generic_step_equals_dense_combination():
@@ -319,7 +322,7 @@ def test_generic_step_equals_dense_combination():
                 new1, new2, branch, _, _ = step(theta1, theta2, form, m)
                 if branch is Branch.GENERIC:
                     generic += 1
-                    assert new1 == member(_generic_reference(*_pair(field, theta1, theta2), form, m))
+                    assert new1 == _generic_reference(theta1, theta2, form, m)
                 theta1, theta2 = new1, new2
     assert generic >= 20
 

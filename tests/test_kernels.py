@@ -18,8 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from logvf import Derivation, Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 from logvf.derivation import apply, primitive
-from logvf.poly import barrett, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed, residue_width
-from logvf.poly import taylor_vanishes, times_linear, times_linear_power, unpack_residues
+from logvf.poly import _packed_product, barrett, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed
+from logvf.poly import residue_width, taylor_vanishes, times_linear, times_linear_power, unpack_residues
+
+from conftest import dense_product
 
 FIELDS = [RATIONALS, Field(7), Field(101), Field(2**31 - 1)]
 
@@ -144,7 +146,9 @@ def test_method_primitive_clears_denominators_before_the_kernel(pair):
 
 # forms in normal form over Q with a in {0, 1, 2, 3} and b in [-3, 3]
 Q_FORMS = [(0, 1)] + [(a, b) for a in (1, 2, 3) for b in range(-3, 4) if math.gcd(a, b) == 1]
-POWER_PRIMES = [2, 3, 7, 101, 2**31 - 1]
+# 2^64 - 59, the largest prime below 2^64, packs 64-bit struct words into 17-byte slots;
+# 2^64 + 13 packs through int.to_bytes
+POWER_PRIMES = [2, 3, 7, 101, 2**31 - 1, 2**64 - 59, 2**64 + 13]
 POWERS = [0, 1, 2, 3, 4, 150]
 
 
@@ -224,6 +228,38 @@ def test_power_product_at_the_slot_bound(form, k):
     for p in POWER_PRIMES:
         full = (p - 1,) * 25
         assert times_linear_power(full, 1, p - 1, p, k) == power_by_steps(full, 1, p - 1, p, k)
+
+
+@pytest.mark.parametrize("lengths", [(1, 1), (1, 30), (2, 9), (9, 9), (25, 7), (40, 40)])
+def test_packed_product_over_q_at_the_slot_bound(lengths):
+    # two signed factors, not a power row: with alternating signs every product in
+    # a slot has the slot's sign, so the slots reach n * max|u| * max|v| in size,
+    # n = min(len(u), len(v)), with both signs; eight consecutive sizes meet every
+    # byte alignment, and windows with lo > 0 read slots above negative ones
+    nu, nv = lengths
+    for bits_u in (1, 8, 64, 300, *range(56, 64)):
+        for bits_v in (1, 31, 64):
+            top_u, top_v = 2**bits_u - 1, 2**bits_v - 1
+            u = [top_u if i % 2 else -top_u for i in range(nu)]
+            v = [-top_v if j % 2 else top_v for j in range(nv)]
+            expected = dense_product(u, v, 0)
+            m = len(expected)
+            assert max(map(abs, expected)) == min(nu, nv) * top_u * top_v
+            for lo, hi in {(0, m), (1, m), (m // 2, m), (m - 1, m), (m // 3, (2 * m) // 3 + 1)}:
+                if lo < hi:
+                    assert _packed_product(u, v, 0, lo, hi) == list(expected[lo:hi]), (bits_u, bits_v, lo, hi)
+
+
+def test_packed_product_over_q_on_seeded_factors():
+    rng = random.Random(37)
+    for _ in range(300):
+        bits_u, bits_v = rng.sample([0, 1, 7, 63, 64, 200], 2)
+        u = [rng.randint(-(2**bits_u), 2**bits_u) for _ in range(rng.randint(1, 30))]
+        v = [rng.randint(-(2**bits_v), 2**bits_v) for _ in range(rng.randint(1, 30))]
+        expected = dense_product(u, v, 0)
+        lo = rng.randrange(len(expected))
+        hi = rng.randint(lo + 1, len(expected))
+        assert _packed_product(u, v, 0, lo, hi) == list(expected[lo:hi])
 
 
 # ----------------------------------------------------------------------

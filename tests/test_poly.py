@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from logvf import Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 from logvf.poly import div_linear_power
 
+from conftest import dense_product
+
 F2 = Field(2)
 
 
@@ -250,8 +252,8 @@ def test_times_linear_matches_dense_product(field, coeffs, ax, ay):
     h = HomogPoly(field, coeffs)
     form = LinearForm(field, ax, ay)  # non-monic over Q when |ax| > 1
     product = h.times_linear(form)
-    reference = h * HomogPoly(field, [form.ay, form.ax])
-    assert (product.degree, product.coeffs) == (reference.degree, reference.coeffs)
+    reference = dense_product(h.coeffs, (form.ay, form.ax), field.characteristic)
+    assert (product.degree, product.coeffs) == (len(reference) - 1, reference)
 
 
 def test_rational_arithmetic_collapses_integral_fractions():
