@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
-from .basis import BasisPair, Branch, _line, _out_of_frame, _pair, _ramp, _ramp_degrees, _run_chain, verify_basis
+from .basis import BasisPair, Branch, _line, _out_of_frame, _pair, _ramp, _run_chain, _window_ramp, verify_basis
 from .derivation import Derivation, apply
 from .field import Field
-from .poly import HomogPoly, eval_raw, times_linear_power
+from .poly import HomogPoly, eval_raw, taylor_window, times_linear_power
 
 
 # ----------------------------------------------------------------------
@@ -227,9 +227,9 @@ def frobenius_basis(p: int, i: int, shifts=None) -> BasisPair:
 # ----------------------------------------------------------------------
 
 _EXPERIMENT_COEFFS = ((1, 1), (1, -1), (1, 0), (0, 1))  # x+y, x-y, x, y
-# x+y, x, y, x-y: the walk order measured fastest on cubes [lo, lo+1]^4.  A representative
-# then has the pair {x, y} in the middle, sorted, which prunes more nodes than the other
-# layout, and x and y, whose products and divisions are slices, take the costly middle levels
+# x+y, x, y, x-y: a representative then has the pair {x, y} in the middle, sorted, which
+# prunes more nodes than the other layout.  Only x+y and x step: y ramps on Taylor windows,
+# and x-y's exact windows ride along, since y is beta in x-y's frame (x-y, y) and x = (x-y) + y
 _WALK_ORDER = (0, 2, 3, 1)
 
 
@@ -347,8 +347,8 @@ def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
     walk ramps x+y, x, y, then x-y, depth-first and sharing prefixes; it
     descends only into prefixes of representatives and ramps each line only
     as far as a representative below the prefix needs.  A row needs only the
-    degrees, so the last line is ramped by :func:`basis._ramp_degrees`.  The
-    walk builds no derivation object.
+    degrees, so y and x-y ramp on Taylor windows (:func:`basis._window_ramp`),
+    and the walk builds no derivation object and no polynomial below x.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
@@ -364,9 +364,14 @@ def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
 
     def walk(theta1, theta2, prefix):
         line, top = lines[len(prefix)], upto[prefix]
-        if len(prefix) == 3:
-            for mult, pair in enumerate(_ramp_degrees(theta1, theta2, line, top), start=1):
-                degrees[prefix + (mult,)] = tuple(sorted(pair, reverse=True))
+        if len(prefix) == 2:  # y ramps on windows, carrying those at x - y, whose ramps follow (see _WALK_ORDER)
+            members = [[*taylor_window(apply(f, g, 1, -1, 0), 1, -1, 0, hi), *taylor_window(g, 0, 1, 0, top)]
+                       for f, g in (theta1, theta2)]
+            ramp = _window_ramp(*members, len(theta1[0]) - 1, len(theta2[0]) - 1, 0, hi)  # x = (x - y) + y
+            for mult, (d1, d2, new1, new2) in enumerate(ramp, start=1):
+                last = upto.get(prefix + (mult,), 0)
+                for m, (e1, e2, _, _) in enumerate(_window_ramp(new1[:last], new2[:last], d1, d2, 0), start=1):
+                    degrees[prefix + (mult, m)] = (e1, e2) if e1 >= e2 else (e2, e1)
             return
         for mult, (new1, new2, _) in enumerate(_ramp(theta1, theta2, line, top), start=1):
             if prefix + (mult,) in upto:

@@ -16,7 +16,7 @@ from math import gcd
 from .arrangement import LinearForm, Multiarrangement
 from .derivation import Derivation, _line, apply, determinant_coefficient, saito_determinant
 from .poly import HomogPoly, InexactDivisionError, barrett, div_linear, div_linear_power, eval_raw, pack_residues
-from .poly import reduce_packed, residue_width, times_linear, times_linear_power, unpack_residues
+from .poly import reduce_packed, residue_width, taylor_window, times_linear, times_linear_power, unpack_residues
 
 
 class Branch(enum.Enum):
@@ -257,12 +257,10 @@ def _advance(f_quot, g_quot, line, d, f_div, g_div):
     rf, rg = f_val, g_val
     if monic and py and d % 2:
         f_val = -f_val  # the values are (-1)^deg times these; only the ratio counts
-    if py:
-        tail, power = 0, 1
-        for _ in range(d):
-            power = power * px % p if p else power * px
-            tail = (tail * py + power) % p if p else tail * py + power
-        num, den = -f_val - tail * g_val, g_val * pow(py, d, p or None)
+    if py:  # tail = px^d + px^(d-1)*py + ... + px*py^(d-1): a geometric series, or d*px^d when px = py (x - y)
+        xd, yd, gap = pow(px, d, p or None), pow(py, d, p or None), (px - py) % p if p else px - py
+        tail = (px * (xd - yd) * pow(gap, -1, p) if p else px * (xd - yd) // gap) if gap else d * xd
+        num, den = -f_val - tail * g_val, g_val * yd
     else:
         # form is y, kernel point (1, 0)
         num, den = -f_val, g_val
@@ -367,31 +365,41 @@ def _ramp(theta1, theta2, line, upto):
         yield theta1, theta2, branch
 
 
-def _ramp_degrees(theta1, theta2, line, upto):
-    """The degree pairs :func:`_ramp` yields, carrying only theta_i(form) / form^mult.
+def _window_ramp(theta1, theta2, d1, d2, p, k=0):
+    """A ramp on Taylor windows (:func:`poly.taylor_window`): ``(d1, d2, theta1, theta2)`` after each of n steps.
 
-    Over Q a generic f' is divided by its own content, not theta1's.  That
-    picks another basis, but degrees move only by the g-vanishing test on
-    the lower member, which the two bases share up to a scalar.  As in
-    :func:`_ramp`, each step hands on the division of the quotient it keeps.
+    A member of degree d is k carried entries, Taylor coefficients at alpha' in a frame (alpha', beta')
+    with beta = alpha' + beta', then theta(alpha)'s first n.  Degrees are invariants of D(A, mu), so any
+    q clearing the obstruction will do: branching as :func:`_advance` does, the generic step takes
+    theta1' = t2*theta1 - t1*beta^d*theta2 (t_i the T_0s), whose window at alpha is t2*w1 - t1*w2, and
+    drops its T_0: O(n + k), no polynomial.
     """
-    a, b, p = line
-    d1, d2 = len(theta1[0]) - 1, len(theta2[0]) - 1
-    f, g = (apply(*theta, a, b, p) for theta in (theta1, theta2))
-    f_div = g_div = None
-    for _ in range(upto):
+    for _ in range(len(theta1) - k):
         if d1 < d2:
-            d1, d2, f, g, f_div, g_div = d2, d1, g, f, g_div, f_div
-        branch, f, g, _, _, div = _advance(f, g, line, d1 - d2, f_div, g_div)
-        if branch is Branch.G_VANISHING:
-            d1, f_div, g_div = d1 + 1, div, None
+            d1, d2, theta1, theta2 = d2, d1, theta2, theta1
+        t1, t2 = theta1[k], theta2[k]
+        if not t2:
+            d1, theta2 = d1 + 1, theta2[:k] + theta2[k + 1 :]
         else:
-            d2, f_div, g_div = d2 + 1, None, div
-        if branch is Branch.GENERIC and not p:
-            c = gcd(*f)
-            if c > 1:
-                f = tuple([v // c for v in f])
-        yield d1, d2
+            v = theta2
+            for _ in range(d1 - d2 if k and t1 else 0):  # times beta = alpha' + beta': T_i + T_(i-1)
+                v = [s + t for s, t in zip(v[:k], [0, *v])] + v[k:]
+            if p:
+                theta1 = [(t2 * s - t1 * t) % p for s, t in zip(theta1, v)]
+            else:
+                theta1 = [t2 * s - t1 * t for s, t in zip(theta1, v)]
+                if (c := gcd(*theta1)) > 1:  # divided by its content over Q
+                    theta1 = [s // c for s in theta1]
+            del theta1[k]
+            d2 += 1
+        yield d1, d2, theta1, theta2
+
+
+def _ramp_degrees(theta1, theta2, line, upto):
+    """The degree pairs :func:`_ramp` yields: the kernel's windows of theta_i(form), then :func:`_window_ramp`."""
+    a, b, p = line
+    windows = (list(taylor_window(apply(*theta, a, b, p), a, b, p, upto)) for theta in (theta1, theta2))
+    return ((d1, d2) for d1, d2, _, _ in _window_ramp(*windows, len(theta1[0]) - 1, len(theta2[0]) - 1, p))
 
 
 def _run_chain(items, observer=None):
@@ -423,8 +431,9 @@ def build_basis(arrangement: Multiarrangement) -> BasisPair:
 def exponents(arrangement: Multiarrangement) -> tuple[int, int]:
     """The exponents of the arrangement: basis degrees, largest first.
 
-    Any homogeneous basis has them as degrees, so the last hyperplane's ramp
-    tracks only the degrees (:func:`_ramp_degrees`).
+    Any homogeneous basis has them as degrees, so the last hyperplane ramps
+    on Taylor windows of the chain's members and divides no polynomial
+    (:func:`_ramp_degrees`).
     """
     items = arrangement.items()
     theta1, theta2 = _run_chain(items[:-1])

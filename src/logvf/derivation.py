@@ -15,7 +15,7 @@ from itertools import accumulate
 
 from .arrangement import LinearForm, Multiarrangement
 from .field import Field, _shrink
-from .poly import HomogPoly, _collapse, div_linear, taylor_vanishes
+from .poly import HomogPoly, _collapse, taylor_vanishes, taylor_window
 
 
 def _line(form: LinearForm):
@@ -113,13 +113,10 @@ class Derivation:
 
         A zero theta(alpha) is divisible by every power of alpha, a nonzero h
         of degree D by none above D, so m = min(mu(alpha), D + 1) is tested
-        whatever mu is.  y^m or x^m divides h when its top or bottom m coefficients
-        vanish; (x + b*y)^m over F_p with D < p when h's first m Taylor
-        coefficients at (-b, 1) do, which :func:`poly.taylor_vanishes` reads
-        from one packed product (i! and 1/i! mod p tabled once per call).
-        Else h is divided m times: for D >= p, as p divides D! (the Frobenius
-        families), and over Q, where a packed evaluation at one big point
-        measured slower than the loop.
+        whatever mu is: alpha^m divides h when its first m Taylor coefficients
+        at alpha vanish.  For x + b*y over F_p with D < p one packed product
+        reads them (:func:`poly.taylor_vanishes`); every other line reads
+        :func:`poly.taylor_window` up to its first nonzero entry.
         """
         if arrangement.field != self.field:
             raise ValueError("arrangement lives over a different field")
@@ -132,18 +129,9 @@ class Derivation:
             h = apply(f, g, a, b, p)
             if not any(h):
                 continue
-            m = min(mult, d + 1)
-            if not a or not b:  # y or x
-                if any(h[d + 1 - m :] if not a else h[:m]):
-                    return False
-            elif d < p:
-                if not taylor_vanishes(h, b, p, m, fact, inv):
-                    return False
-            else:
-                for _ in range(m):
-                    h, r = div_linear(h, a, b, p)
-                    if r:
-                        return False
+            m, packed = min(mult, d + 1), a and b and d < p
+            if not taylor_vanishes(h, b, p, m, fact, inv) if packed else any(taylor_window(h, a, b, p, m)):
+                return False
         return True
 
     def times_linear(self, form: LinearForm) -> "Derivation":

@@ -16,18 +16,18 @@ and the characteristic ``p`` (0 for Q); the determinant's is
 ``derivation.determinant_coefficient``.  :func:`_packed_product` is the one
 Kronecker product, over Q and F_p, and :func:`_pack` the one packer, also of
 the packed residue vectors of the chain and the oracle over F_p.
-:func:`taylor_vanishes` is F_p-only (degree below p, as it inverts factorials
-mod p).  ``HomogPoly.__add__``, ``__mul__``, ``scale``, ``times_linear``,
-``_div_linear`` and ``eval_raw`` have no caller here but ``Derivation.apply``,
-``plus_scaled`` and ``times_linear``, which have none; all nine stay only
-because the ``perfbench/`` benchmark wraps them by name.
+:func:`taylor_vanishes` is F_p-only (degree below p); :func:`taylor_window`
+serves every field.  ``HomogPoly.__add__``, ``__mul__``, ``scale``,
+``times_linear``, ``_div_linear`` and ``eval_raw`` have no caller here but
+``Derivation.apply``, ``plus_scaled`` and ``times_linear``, which have none;
+all nine stay only because the ``perfbench/`` benchmark wraps them by name.
 """
 
 from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 
 from .arrangement import LinearForm
 from .field import Field, _shrink
@@ -84,6 +84,34 @@ def taylor_vanishes(cs, b, p, m, fact, inv):
     powers = accumulate(repeat(-b % p, d), lambda s, v: s * v % p, initial=1)
     g = [t * i % p for t, i in zip(powers, inv)]
     return not any(_packed_product(rev, g, p, d + 1 - m, d + 1))
+
+
+def taylor_window(cs, a, b, p, n):
+    """Yield the first n Taylor coefficients of h = sum c_j x^j y^(D-j) at the form, zeros past T_D.
+
+    T_i is h's alpha^i beta^(D-i) coefficient: h's top ones reversed for (y, x), its bottom ones for
+    (x, y).  In (a*x + b*y, y), a*b != 0, the i-th of n rounds of suffix sums (synthetic division by
+    z - 1) of e_j = c_j*(-b)^j*a^(D-j) totals a^D*(-b)^i*T_i: no factorials, so any p and D.  A monic
+    form yields T_i; a non-monic one (over Q) the totals, scaled alike in two windows.
+    """
+    k = min(n, len(cs))
+    if not a or not b:
+        yield from islice(reversed(cs) if not a else cs, k)
+    elif k == 1 and a == 1:  # T_0 alone: one synthetic division's remainder, no power tables
+        yield div_linear(cs, a, b, p)[1]
+    elif k:
+        mul, d = (lambda s, t: s * t % p) if p else int.__mul__, len(cs) - 1
+        powers = reversed(list(accumulate(repeat(-b, d), mul, initial=1)))  # (-b)^(D-i), then a^i
+        e = [c * s * t for c, s, t in zip(reversed(cs), powers, accumulate(repeat(a, d), mul, initial=1))]
+        r, s = pow(-b, -1, p) if p else -b if a == 1 else 1, 1  # T_i is total_i / (-b)^i for a monic form
+        for _ in range(k):
+            e = list(accumulate(e))
+            if p and e[-1] >> 64 > p:  # the largest suffix sum of residues: reduce only now and then
+                e = [v % p for v in e]
+            t = e.pop()
+            yield t * s % p if p else t // s
+            s = s * r % p if p else s * r
+    yield from repeat(0, n - k)
 
 
 def _pack(cs, w, p):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import chain
 from fractions import Fraction
 
 import pytest
@@ -24,9 +25,9 @@ from logvf import (
     verify_basis,
 )
 from logvf import basis
-from logvf.basis import _into_frame, _line, _out_of_frame, _plus_q_times, _ramp, _ramp_degrees, _step
+from logvf.basis import _into_frame, _line, _out_of_frame, _plus_q_times, _ramp, _ramp_degrees, _step, _window_ramp
 from logvf.derivation import apply, primitive
-from logvf.poly import barrett, div_linear, div_linear_power, eval_raw
+from logvf.poly import barrett, div_linear, div_linear_power, eval_raw, taylor_window
 
 from conftest import dense_determinant, dense_product, sample_arrangements
 
@@ -341,7 +342,7 @@ def small_forms(field, limit=3):
         LinearForm(field, a, b)
         for a in range(-limit, limit + 1)
         for b in range(-limit, limit + 1)
-        if a or b
+        if field.coerce(a) or field.coerce(b)
     }
     return sorted(forms, key=LinearForm.sort_key)
 
@@ -355,7 +356,7 @@ def ramp_cases(seed, count, fields=RAMP_FIELDS, max_lines=4):
     for i in range(count):
         field = fields[i % len(fields)]
         pool = small_forms(field)
-        forms = rng.sample(pool, rng.randint(0, max_lines))
+        forms = rng.sample(pool, rng.randint(0, min(max_lines, len(pool) - 1)))
         if field == RATIONALS:
             forms = list(dict.fromkeys(forms + NON_MONIC))
         arrangement = Multiarrangement(field, {f: rng.randint(1, 7) for f in forms})
@@ -364,34 +365,35 @@ def ramp_cases(seed, count, fields=RAMP_FIELDS, max_lines=4):
 
 
 def test_degree_ramp_matches_full_ramp():
-    for arrangement, form, upto in ramp_cases(seed=5, count=32):
+    # F_2 and F_13 as well: degrees at and past p, where the Taylor windows still hold.
+    # Kills a kernel without zero padding past T_D and a tail without d*px^d on x - y
+    cases = chain(ramp_cases(seed=5, count=32), ramp_cases(seed=6, count=16, fields=[Field(2), Field(13)]))
+    for arrangement, form, upto in cases:
         theta1, theta2 = map(member, build_basis(arrangement))
         full = [(t1[1], t2[1]) for t1, t2, _ in _ramp(theta1, theta2, _line(form), upto)]
         assert list(_ramp_degrees(theta1, theta2, _line(form), upto)) == full, (arrangement, form)
 
 
-def test_degree_ramp_quotients_stay_as_small_as_the_full_ramps(monkeypatch):
-    """Over Q the degrees-only ramp divides each generic quotient by its content.
+def test_degree_ramp_windows_stay_as_small_as_the_full_ramps():
+    """Over Q the window ramp divides each generic combination by its content.
 
-    Without that division the quotients grow by a factor den at every
-    generic step; with it they stay within a few bits of the full ramp's.
+    Without that division the windows grow by a factor t2 at every generic
+    step; with it their entries stay within a few bits of the windows of
+    the full ramp's members at the same step.  Kills a ramp without the
+    division, which the degree tests in this file still pass.
     """
-    bits = []
-    advance = basis._advance
-
-    def spy(f_quot, g_quot, *rest):
-        bits.append(max(abs(c).bit_length() for c in f_quot + g_quot))
-        return advance(f_quot, g_quot, *rest)
-
-    monkeypatch.setattr(basis, "_advance", spy)
     for arrangement, form, _ in ramp_cases(seed=3, count=8, fields=[RATIONALS]):
+        a, b, p = line = _line(form)
         theta1, theta2 = map(member, build_basis(arrangement))
-        bits.clear()
-        list(_ramp(theta1, theta2, _line(form), 40))
-        full = max(bits)
-        bits.clear()
-        list(_ramp_degrees(theta1, theta2, _line(form), 40))
-        assert max(bits) <= full + 8, (arrangement, form)
+        windows = [list(taylor_window(apply(*theta, a, b, p), a, b, p, 40)) for theta in (theta1, theta2)]
+        ramp = _window_ramp(*windows, len(theta1[0]) - 1, len(theta2[0]) - 1, p)
+        for step, ((_, _, w1, w2), (t1, t2, _)) in enumerate(zip(ramp, _ramp(theta1, theta2, line, 40)), start=1):
+            full = [taylor_window(t[0], a, b, p, 40 - step) for t in (t1, t2)]
+            assert bits(w1 + w2) <= bits([*full[0], *full[1]]) + 8, (arrangement, form, step)
+
+
+def bits(window):
+    return max((abs(c).bit_length() for c in window), default=0)
 
 
 def test_exponents_equal_basis_degrees():

@@ -77,7 +77,8 @@ def test_membership_frobenius_f2():
 
 @pytest.mark.parametrize("p", [7, 13])
 def test_membership_of_degree_at_least_p_divides_one_step_at_a_time(monkeypatch, p):
-    # (x + 2y) * (x^p dx + y^p dy) has degree p + 1 >= p, where p! has no inverse mod p
+    # (x + 2y) * (x^p dx + y^p dy) has degree p + 1 >= p, where p! has no inverse mod p:
+    # the Taylor window's rounds of suffix sums, one synthetic division each, need none
     def no_table(*args):
         raise AssertionError("the Taylor test needs degree < p")
 

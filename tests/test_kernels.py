@@ -4,7 +4,7 @@ Each kernel is checked against an independent route: the dense product
 ``HomogPoly.__mul__``, the scale-and-add of ``HomogPoly``, exact Fraction
 arithmetic, the Derivation method that wraps it, or, for the product by a
 power of a form, that many products by the form, or for the Taylor test of
-divisibility, that many divisions by the form, or for packed residue
+divisibility and the Taylor windows, that many divisions by the form, or for packed residue
 vectors, ``% p`` on each slot.
 """
 
@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from logvf import Derivation, Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 from logvf.derivation import apply, primitive
 from logvf.poly import _packed_product, barrett, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed
-from logvf.poly import residue_width, taylor_vanishes, times_linear, times_linear_power, unpack_residues
+from logvf.poly import residue_width, taylor_vanishes, taylor_window, times_linear, times_linear_power, unpack_residues
 
 from conftest import dense_product
 
@@ -302,6 +302,41 @@ def test_taylor_test_matches_repeated_division(p):
                 cases += 1
             divisible += expected
     assert divisible > 100 and cases - 2 * divisible > 100  # both answers are exercised
+
+
+WINDOW_FIELDS = [0, 2, 7, 13, 2**31 - 1, 2**64 + 13]
+
+
+def division_remainders(h, a, b, p, n):
+    """The remainders of n repeated divisions by the form: the Taylor coefficients in (a*x + b*y, y), or (y, x)."""
+    out = []
+    for _ in range(n):
+        h, r = div_linear(h, a, b, p)
+        out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("p", WINDOW_FIELDS)
+def test_taylor_window_matches_repeated_division(p):
+    # h = form^k * q, zero a tenth of the time; n past D + 1, and over F_2, F_7
+    # and F_13 degrees past p; over F_p b both as the residue and as b - p.  Kills a
+    # degree-dependent sign, no zero padding, monic totals left undivided by (-b)^i
+    # over Q and F_p entries left unreduced
+    rng = random.Random(p + 1)
+    forms = Q_FORMS + [(1, 0)] if not p else [(0, 1), (1, 0)] + [(1, rng.randrange(1, p)) for _ in range(6)]
+    for _ in range(150):
+        a, b = rng.choice(forms)
+        d = rng.randint(0, 45)
+        q = [rng.randint(-99, 99) % p if p else rng.randint(-99, 99) for _ in range(d + 1)]
+        k = rng.randint(0, d)
+        h = times_linear_power(tuple(q[: d + 1 - k]), a, b, p, k) if rng.random() < 0.9 else (0,) * (d + 1)
+        n = rng.randint(0, d + 4)
+        expected = division_remainders(h, a, b, p, n)
+        if a > 1:  # non-monic: the totals a^D * (-b)^i * T_i
+            expected = [a**d * (-b) ** i * t for i, t in enumerate(expected)]
+        for residue in {b, b - p} if p and a * b else {b}:
+            assert list(taylor_window(h, a, residue, p, n)) == expected, (a, b, p, d, n)
+    assert list(taylor_window((0, 0, 3), 1, -1, 0, 5)) == [3, 6, 3, 0, 0]  # 3x^2 = 3((x - y) + y)^2
 
 
 @pytest.mark.parametrize("p", [7, 101, 2**31 - 1])
