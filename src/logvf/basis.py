@@ -14,7 +14,7 @@ from itertools import accumulate, chain, islice, repeat
 from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
-from .derivation import Derivation, _line, apply, determinant_coefficient, saito_determinant
+from .derivation import Derivation, _line, apply, determinant_coefficient, saito_determinant, signed_content
 from .poly import HomogPoly, InexactDivisionError, barrett, div_linear, div_linear_power, eval_raw, pack_residues
 from .poly import reduce_packed, residue_width, taylor_window, times_linear, times_linear_power, unpack_residues
 
@@ -110,62 +110,54 @@ def _pair(field, theta1, theta2) -> BasisPair:
     return BasisPair(Derivation(*polys[:2]), Derivation(*polys[2:]))
 
 
-def _partner(a, b):
-    """``(c, e)`` with a*e - b*c = 1, for a form a*x + b*y with a >= 1 and gcd(a, b) = 1 ((0, 1) when a = 1)."""
-    c = -pow(b, -1, a)
-    return c, (1 + b * c) // a
-
-
 def _into_frame(theta, line):
     """An ``(f, g)`` member as the ramp of a form alpha carries it: ``(theta(alpha), degree, theta(beta))``.
 
-    beta is y for x + c*y (c = 0 for x), x for y, and :func:`_partner` for a non-monic
-    form, so det(alpha, beta) = +-1.  A non-monic form carries g too, whose
-    top coefficient signs the member: a*theta(beta) - c*theta(alpha) would
-    need theta(alpha) in full, as their tops cancel when y is in A.  Over
-    F_p theta(beta) is packed into one int (:func:`poly.residue_width`).
+    beta is y for x + c*y (c = 0 for x) and x for y, so det(alpha, beta) = +-1.
+    A non-monic form (over Q) has no such partner among x and y: its member
+    carries f and g themselves, ``(theta(alpha), degree, f, g)``.  Over F_p
+    theta(beta) is packed into one int (:func:`poly.residue_width`).
     """
     f, g = theta
     a, b, p = line
+    if a > 1:
+        return apply(f, g, a, b, p), len(f) - 1, f, g
     u, v = (g, f) if not a else (apply(f, g, a, b, p), g)
-    if a > 1:  # non-monic, so over Q
-        return u, len(f) - 1, apply(f, g, *_partner(a, b), p), g
     return u, len(f) - 1, pack_residues(v, p) if p else v
 
 
 def _out_of_frame(member, line):
-    """The ``(f, g)`` of a member ``(theta(alpha)/alpha^k, degree, theta(beta), ...)`` in the frame of ``line``."""
-    u, degree, v = member[:3]
+    """The ``(f, g)`` of a member ``(theta(alpha)/alpha^k, degree, theta(beta))`` in the frame of ``line``.
+
+    A non-monic form's member carries ``(f, g)`` as they are.
+    """
+    u, degree, *images = member
     a, b, p = line
-    if p:
-        v = unpack_residues(v, degree + 1, p)
+    if a > 1:
+        return tuple(images)
+    v = unpack_residues(images[0], degree + 1, p) if p else images[0]
     h = times_linear_power(u, a, b, p, degree + 1 - len(u))  # theta(alpha)
     if not a:
         return v, h
-    e, pairs = _partner(a, b)[1], zip(h, v)  # f = e*theta(alpha) - b*theta(beta), e = 1 for a monic form
-    f = [(e * s - b * t) % p for s, t in pairs] if p else [e * s - b * t for s, t in pairs]
-    return tuple(f), member[3] if a > 1 else v
+    f = [(s - b * t) % p for s, t in zip(h, v)] if p else [s - b * t for s, t in zip(h, v)]  # theta(alpha) - b*g
+    return tuple(f), v
 
 
 def _primitive(member, line):
-    """A member over Q divided by the signed content of its ``(f, g)``, signed as ``derivation.primitive``.
+    """A member over Q divided by the :func:`derivation.signed_content` of its ``(f, g)``.
 
-    The frame is unimodular and the form primitive, so by Gauss's lemma the
-    content of (f, g) is gcd(u, v).  The sign is that of g's highest nonzero
-    x-coefficient, else f's.  g is v for x + c*y, u*y^k for y and carried
-    for a non-monic form.  Where g is zero, f is u*alpha^k (over a for a
-    non-monic form), whose top coefficient has the sign of u's.
+    The frame of a monic form is unimodular and the form primitive, so by
+    Gauss's lemma the content of (f, g) is gcd(u, v).  For x + c*y, g is v,
+    and where g is zero, f is u*alpha^k, whose top coefficient has the sign
+    of u's; for y, f is v and g is u*y^k.  A non-monic form carries f and g.
     """
-    u, degree, v, *rest = member
+    u, degree, *images = member
     a = line[0]
-    g, f = (v, u) if a == 1 else (u, v) if not a else (rest[0], u)
-    k = gcd(*u, *v)
-    if (next(filter(None, reversed(g)), 0) or next(filter(None, reversed(f)))) < 0:
-        k = -k
+    k = signed_content(*images) if a > 1 else signed_content(u, *images) if a else signed_content(*images, u)
     if k == 1:
         return member
-    u, v, *rest = (tuple([c // k for c in cs]) for cs in (u, v, *rest))
-    return u, degree, v, *rest
+    u, *images = (tuple([c // k for c in cs]) for cs in (u, *images))
+    return u, degree, *images
 
 
 def _step(theta1, theta2, line, div1, div2, kit):

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
 
 from .arrangement import LinearForm, Multiarrangement
 from .field import Field, _shrink
-from .poly import HomogPoly, _collapse, taylor_vanishes, taylor_window
+from .poly import HomogPoly, _collapse, taylor_window
 
 
 def _line(form: LinearForm):
@@ -34,15 +33,27 @@ def apply(f, g, a, b, p):
     return _collapse(tuple([a * s + b * t for s, t in zip(f, g)]))
 
 
+def signed_content(f, g):
+    """The gcd of the integer coefficients, signed as g's highest nonzero x-coefficient (f's if g is 0)."""
+    k = math.gcd(*f, *g)
+    return -k if (next(filter(None, reversed(g)), 0) or next(filter(None, reversed(f)))) < 0 else k
+
+
+def _cleared(f, g):
+    """Rational coefficient tuples times the lcm of their denominators: ``(f', g', lcm)``, ints as they are."""
+    den = math.lcm(*(c.denominator for c in f + g))
+    if den > 1:
+        f, g = (tuple([c.numerator * (den // c.denominator) for c in cs]) for cs in (f, g))
+    return f, g, den
+
+
 def primitive(f, g):
-    """Integer coefficient tuples divided by their signed content: ``(f', g', k)``.
+    """Integer coefficient tuples divided by their :func:`signed_content` k: ``(f', g', k)``.
 
     The sign makes the trailing nonzero coefficient (the highest power of x
     in g, falling back to f) positive, and ``f == k * f'``.
     """
-    k = math.gcd(*f, *g)
-    if (next(filter(None, reversed(g)), 0) or next(filter(None, reversed(f)))) < 0:
-        k = -k
+    k = signed_content(f, g)
     if k == 1:
         return f, g, 1
     return tuple([c // k for c in f]), tuple([c // k for c in g]), k
@@ -114,23 +125,18 @@ class Derivation:
         A zero theta(alpha) is divisible by every power of alpha, a nonzero h
         of degree D by none above D, so m = min(mu(alpha), D + 1) is tested
         whatever mu is: alpha^m divides h when its first m Taylor coefficients
-        at alpha vanish.  For x + b*y over F_p with D < p one packed product
-        reads them (:func:`poly.taylor_vanishes`); every other line reads
-        :func:`poly.taylor_window` up to its first nonzero entry.
+        at alpha, which :func:`poly.taylor_window` reads, vanish.  Over Q the
+        denominators are cleared first: a nonzero scalar keeps membership.
         """
         if arrangement.field != self.field:
             raise ValueError("arrangement lives over a different field")
         f, g, p, d = self.f.coeffs, self.g.coeffs, self.field.characteristic, self.degree
-        if d < p:
-            fact = list(accumulate(range(1, d + 1), lambda s, i: s * i % p, initial=1))
-            inv = list(accumulate(range(d, 0, -1), lambda s, i: s * i % p, initial=pow(fact[d], -1, p)))[::-1]
+        if not p:
+            f, g, _ = _cleared(f, g)
         for form, mult in arrangement.items():
             a, b, _ = _line(form)
             h = apply(f, g, a, b, p)
-            if not any(h):
-                continue
-            m, packed = min(mult, d + 1), a and b and d < p
-            if not taylor_vanishes(h, b, p, m, fact, inv) if packed else any(taylor_window(h, a, b, p, m)):
+            if any(h) and any(taylor_window(h, a, b, p, min(mult, d + 1))):
                 return False
         return True
 
@@ -154,9 +160,7 @@ class Derivation:
         """
         if self.field.characteristic:
             return self, 1
-        f, g = self.f.coeffs, self.g.coeffs
-        den = math.lcm(*(c.denominator for c in f + g))  # Fractions: clear denominators first
-        f, g = (tuple(c.numerator * (den // c.denominator) for c in cs) for cs in (f, g))
+        f, g, den = _cleared(self.f.coeffs, self.g.coeffs)  # Fractions: clear denominators first
         f, g, k = primitive(f, g)
         if den == 1 and k == 1:
             return self, 1

@@ -16,8 +16,8 @@ and the characteristic ``p`` (0 for Q); the determinant's is
 ``derivation.determinant_coefficient``.  :func:`_packed_product` is the one
 Kronecker product, over Q and F_p, and :func:`_pack` the one packer, also of
 the packed residue vectors of the chain and the oracle over F_p.
-:func:`taylor_vanishes` is F_p-only (degree below p); :func:`taylor_window`
-serves every field.  ``HomogPoly.__add__``, ``__mul__``, ``scale``,
+:func:`taylor_window` is the one Taylor kernel; it picks its route from the
+field, the degree and the form.  ``HomogPoly.__add__``, ``__mul__``, ``scale``,
 ``times_linear``, ``_div_linear`` and ``eval_raw`` have no caller here but
 ``Derivation.apply``, ``plus_scaled`` and ``times_linear``, which have none;
 all nine stay only because the ``perfbench/`` benchmark wraps them by name.
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice, repeat
 
 from .arrangement import LinearForm
@@ -72,35 +73,36 @@ def times_linear_power(cs, a, b, p, k):
     return tuple(_packed_product(cs, row, p, 0, len(cs) + k))
 
 
-def taylor_vanishes(cs, b, p, m, fact, inv):
-    """Whether ``(x + b*y)^m`` divides the polynomial over F_p, for degree D < p and m <= D + 1.
-
-    T_0 ... T_(m-1) must vanish, T_j the u^j coefficient of h = sum c_i x^i y^(D-i)
-    in u = x + b*y.  j!*T_j = sum_k c_(j+k)*(j+k)! * (-b)^k/k! is slot D - j of the
-    product of (c_i*i!) reversed and ((-b)^k/k!).  ``fact``/``inv`` hold i!, 1/i!.
-    """
-    d = len(cs) - 1
-    rev = [c * f % p for c, f in zip(reversed(cs), reversed(fact[: d + 1]))]
-    powers = accumulate(repeat(-b % p, d), lambda s, v: s * v % p, initial=1)
-    g = [t * i % p for t, i in zip(powers, inv)]
-    return not any(_packed_product(rev, g, p, d + 1 - m, d + 1))
+@lru_cache
+def _factorials(d, p):
+    """i! and 1/i! mod p for i = 0 .. d < p as tuples: the tables of :func:`taylor_window`'s product route."""
+    fact = tuple(accumulate(range(1, d + 1), lambda s, i: s * i % p, initial=1))
+    return fact, tuple(accumulate(range(d, 0, -1), lambda s, i: s * i % p, initial=pow(fact[d], -1, p)))[::-1]
 
 
 def taylor_window(cs, a, b, p, n):
     """Yield the first n Taylor coefficients of h = sum c_j x^j y^(D-j) at the form, zeros past T_D.
 
     T_i is h's alpha^i beta^(D-i) coefficient: h's top ones reversed for (y, x), its bottom ones for
-    (x, y).  In (a*x + b*y, y), a*b != 0, the i-th of n rounds of suffix sums (synthetic division by
-    z - 1) of e_j = c_j*(-b)^j*a^(D-j) totals a^D*(-b)^i*T_i: no factorials, so any p and D.  A monic
-    form yields T_i; a non-monic one (over Q) the totals, scaled alike in two windows.
+    (x, y).  For x + b*y over F_p with D < p, j!*T_j = sum_k c_(j+k)*(j+k)!*(-b)^k/k! is slot D - j
+    of one product of (c_i*i!) reversed and ((-b)^k/k!), times 1/j! (:func:`_factorials`).  Else, in
+    (a*x + b*y, y), a*b != 0, the i-th of n rounds of suffix sums (synthetic division by z - 1) of
+    e_j = c_j*(-b)^j*a^(D-j) totals a^D*(-b)^i*T_i, for any p and D (ints only over Q).  A monic form
+    yields T_i; a non-monic one (over Q) the totals, scaled alike in two windows.
     """
-    k = min(n, len(cs))
+    k, d = min(n, len(cs)), len(cs) - 1
     if not a or not b:
         yield from islice(reversed(cs) if not a else cs, k)
     elif k == 1 and a == 1:  # T_0 alone: one synthetic division's remainder, no power tables
         yield div_linear(cs, a, b, p)[1]
+    elif k and p and len(cs) <= p:  # every form over F_p is monic
+        fact, inv = _factorials(d, p)
+        powers = accumulate(repeat(-b % p, d), lambda s, v: s * v % p, initial=1)
+        rev = [c * f % p for c, f in zip(reversed(cs), reversed(fact))]
+        g = [t * i % p for t, i in zip(powers, inv)]
+        yield from (t * i % p for t, i in zip(reversed(_packed_product(rev, g, p, d + 1 - k, d + 1)), inv))
     elif k:
-        mul, d = (lambda s, t: s * t % p) if p else int.__mul__, len(cs) - 1
+        mul = (lambda s, t: s * t % p) if p else int.__mul__
         powers = reversed(list(accumulate(repeat(-b, d), mul, initial=1)))  # (-b)^(D-i), then a^i
         e = [c * s * t for c, s, t in zip(reversed(cs), powers, accumulate(repeat(a, d), mul, initial=1))]
         r, s = pow(-b, -1, p) if p else -b if a == 1 else 1, 1  # T_i is total_i / (-b)^i for a monic form

@@ -1,5 +1,6 @@
 """Derivations, membership, determinants and primitive reduction."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -19,7 +20,7 @@ from logvf import (
     saito_determinant,
     verify_basis,
 )
-from logvf import derivation
+from logvf import poly
 from logvf.analysis import frobenius_derivation
 from logvf.basis import BasisPair
 from logvf.poly import div_linear
@@ -80,9 +81,9 @@ def test_membership_of_degree_at_least_p_divides_one_step_at_a_time(monkeypatch,
     # (x + 2y) * (x^p dx + y^p dy) has degree p + 1 >= p, where p! has no inverse mod p:
     # the Taylor window's rounds of suffix sums, one synthetic division each, need none
     def no_table(*args):
-        raise AssertionError("the Taylor test needs degree < p")
+        raise AssertionError("the factorial tables need degree < p")
 
-    monkeypatch.setattr(derivation, "taylor_vanishes", no_table)
+    monkeypatch.setattr(poly, "_factorials", no_table)
     field = Field(p)
     frob = frobenius_derivation(p, 1)
     line = HomogPoly(field, [2, 1])
@@ -139,6 +140,43 @@ def test_membership_matches_repeated_division(field):
                 assert theta.is_member(arrangement) == expected, (theta, arrangement)
                 answers.add(expected)
     assert answers == {True, False}
+
+
+@pytest.mark.parametrize("ab", [(1, 2), (2, 3), (1, 0), (0, 1)], ids=str)
+def test_membership_over_q_matches_the_integer_rescaling(ab):
+    # theta = form^k * (f, g) with rational coefficients, one of them moved by a
+    # fraction half the time: the answer is the integer rescaling's and repeated
+    # division's at every multiplicity up to D + 2
+    rng = random.Random(ab[0] * 10 + ab[1])
+    form = LinearForm(RATIONALS, *ab)
+    answers = set()
+    for _ in range(40):
+        n = rng.randint(0, 3)
+        f, g = ([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n + 1)] for _ in "fg")
+        theta = D(f, [1] + g[1:])
+        for _ in range(rng.randint(0, 4)):
+            theta = theta.times_linear(form)
+        if rng.random() < 0.5:
+            f = list(theta.f.coeffs)
+            f[rng.randrange(len(f))] += Fraction(rng.randint(1, 9), rng.randint(2, 6))
+            theta = Derivation(HomogPoly(RATIONALS, f), theta.g)
+        den = math.lcm(*(c.denominator for c in theta.f.coeffs + theta.g.coeffs))
+        scaled = Derivation(theta.f.scale(den), theta.g.scale(den))
+        for mult in range(1, theta.degree + 3):
+            arrangement = Multiarrangement(RATIONALS, {form: mult})
+            expected = member_by_division(theta, arrangement)
+            assert theta.is_member(arrangement) == scaled.is_member(arrangement) == expected, (theta, mult)
+            answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_membership_over_q_of_a_nonmember_with_small_rational_taylor_coefficients():
+    # (x^2 + 13/3*xy + 31/6*y^2) dx is (x + 2y)^2 + 1/3*xy + 7/6*y^2: its Taylor coefficients at
+    # x + 2y are 1/2 and 1/3, which floor division of the rational totals read as zeros
+    x_2y = LinearForm(RATIONALS, 1, 2)
+    theta = D([Fraction(31, 6), Fraction(13, 3), 1], [0, 0, 0])
+    assert not theta.is_member(Multiarrangement(RATIONALS, {x_2y: 2}))
+    assert not D([31, 26, 6], [0, 0, 0]).is_member(Multiarrangement(RATIONALS, {x_2y: 2}))
 
 
 @pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(2**31 - 1)], ids=str)

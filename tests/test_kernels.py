@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from logvf import Derivation, Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 from logvf.derivation import apply, primitive
 from logvf.poly import _packed_product, barrett, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed
-from logvf.poly import residue_width, taylor_vanishes, taylor_window, times_linear, times_linear_power, unpack_residues
+from logvf.poly import residue_width, taylor_window, times_linear, times_linear_power, unpack_residues
 
 from conftest import dense_product
 
@@ -263,48 +263,8 @@ def test_packed_product_over_q_on_seeded_factors():
 
 
 # ----------------------------------------------------------------------
-# divisibility by a power of the form over F_p, against repeated division
+# Taylor windows at a form, against repeated division
 # ----------------------------------------------------------------------
-
-
-def divides_by_steps(cs, b, p, m):
-    for _ in range(m):
-        cs, r = div_linear(cs, 1, b, p)
-        if r:
-            return False
-    return True
-
-
-def factorial_tables(d, p):
-    fact = [math.factorial(i) % p for i in range(d + 1)]
-    return fact, [pow(f, -1, p) for f in fact]
-
-
-@pytest.mark.parametrize("p", [101, 10007, 2**31 - 1])
-def test_taylor_test_matches_repeated_division(p):
-    # h = (x + b*y)^k * q, perturbed in one coefficient half the time; every
-    # m around k and D, and b as the residue in [0, p) and as b - p
-    rng = random.Random(p)
-    divisible = cases = 0
-    for _ in range(120):
-        k, n = rng.randint(0, 30), rng.randint(1, 30)
-        b = rng.randrange(1, p)
-        h = times_linear_power(tuple(rng.randrange(p) for _ in range(n)), 1, b, p, k)
-        if rng.random() < 0.5:
-            i = rng.randrange(len(h))
-            h = h[:i] + ((h[i] + rng.randrange(1, p)) % p,) + h[i + 1 :]
-        d = len(h) - 1
-        fact, inv = factorial_tables(d, p)
-        for m in {0, max(k - 1, 0), k, k + 1, d, d + 1}:
-            expected = divides_by_steps(h, b, p, m)
-            for residue in (b, b - p):
-                assert taylor_vanishes(h, residue, p, m, fact, inv) == expected, (b, k, m, d)
-                cases += 1
-            divisible += expected
-    assert divisible > 100 and cases - 2 * divisible > 100  # both answers are exercised
-
-
-WINDOW_FIELDS = [0, 2, 7, 13, 2**31 - 1, 2**64 + 13]
 
 
 def division_remainders(h, a, b, p, n):
@@ -314,6 +274,37 @@ def division_remainders(h, a, b, p, n):
         h, r = div_linear(h, a, b, p)
         out.append(r)
     return out
+
+
+@pytest.mark.parametrize("p", [7, 13, 101, 10007, 2**31 - 1])
+def test_taylor_test_matches_repeated_division(p):
+    # h = (x + b*y)^k * q, perturbed in one coefficient half the time; every
+    # m around k and D, and b as the residue in [0, p) and as b - p.  Below
+    # degree p the window is one packed product, from degree p on suffix sums:
+    # at p = 7 and 13 every h has degree p - 1 or p, either side of that bound
+    rng = random.Random(p)
+    divisible = cases = 0
+    for _ in range(120):
+        k, n = rng.randint(0, 30), rng.randint(1, 30)
+        if p < 100:
+            k = rng.randint(0, p - 1)
+            n = rng.choice((p, p + 1)) - k
+        b = rng.randrange(1, p)
+        h = times_linear_power(tuple(rng.randrange(p) for _ in range(n)), 1, b, p, k)
+        if rng.random() < 0.5:
+            i = rng.randrange(len(h))
+            h = h[:i] + ((h[i] + rng.randrange(1, p)) % p,) + h[i + 1 :]
+        d = len(h) - 1
+        for m in {0, max(k - 1, 0), k, k + 1, d, d + 1}:
+            expected = division_remainders(h, 1, b, p, m)
+            for residue in (b, b - p):
+                assert list(taylor_window(h, 1, residue, p, m)) == expected, (b, k, m, d)
+                cases += 1
+            divisible += not any(expected)
+    assert divisible > 100 and cases - 2 * divisible > 100  # both answers are exercised
+
+
+WINDOW_FIELDS = [0, 2, 7, 13, 2**31 - 1, 2**64 + 13]
 
 
 @pytest.mark.parametrize("p", WINDOW_FIELDS)

@@ -14,10 +14,12 @@ from logvf import (
     all_hyperplanes,
     dim_degree,
     dimension_table,
+    build_basis,
     exponents,
     exponents_by_oracle,
+    verify_basis,
 )
-from logvf import oracle
+from logvf import oracle, poly
 
 from conftest import form_pool, random_arrangement, sample_arrangements
 
@@ -146,6 +148,36 @@ def test_chain_agrees_with_oracle_on_seeded_larger_arrangements(field, max_total
     for _ in range(8):
         arr = random_arrangement(rng, field=field, max_forms=7, max_total=max_total, min_forms=3)
         assert exponents_by_oracle(arr) == exponents(arr)
+
+
+@pytest.mark.parametrize("p, count, total", [(2**31 - 1, 5, 200), (13, 3, 60), (0, 10, 60)], ids=str)
+def test_exponents_agree_with_the_oracle_on_both_taylor_routes(monkeypatch, p, count, total):
+    # exponents() ramps its last line on Taylor windows of the chain's members: over
+    # F_(2^31-1), below degree p, from one packed product (the last line is x + b*y with
+    # b above p/2, passed as b - p); over F_13, at degrees past 13, and over Q, each with
+    # a non-monic line, from suffix sums.  Every basis build_basis gives is Saito-verified
+    field = Field(p) if p else RATIONALS
+    rng = random.Random(total + p)
+    factorials, products = poly._factorials, []
+    monkeypatch.setattr(poly, "_factorials", lambda d, p: products.append(d) or factorials(d, p))
+    monic = [form for form in form_pool(field) if form.ax < 2] if p < total else []
+    non_monic = [form for form in form_pool(RATIONALS) if form.ax > 1]
+    for _ in range(count):
+        if p > total:
+            forms = {LinearForm(field, 0, 1), LinearForm(field, 1, 0)}
+            forms |= {LinearForm(field, 1, rng.randrange(1, p)) for _ in range(rng.randint(1, 4))}
+        else:
+            forms = set(rng.sample(monic, rng.randint(3, 5)) + ([] if p else rng.sample(non_monic, 1)))
+        forms = sorted(forms, key=LinearForm.sort_key)
+        mult = dict.fromkeys(forms, 1)
+        mult[forms[-1]] = 2  # the last line ramps at least two steps on windows
+        for _ in range(total - len(forms) - 1):
+            mult[rng.choice(forms)] += 1
+        arrangement = Multiarrangement(field, mult)
+        products.clear()
+        assert exponents(arrangement) == exponents_by_oracle(arrangement), arrangement
+        assert bool(products) == (p > total), arrangement
+        assert verify_basis(build_basis(arrangement), arrangement)
 
 
 def _slope_rows(arrangement, d):
