@@ -15,7 +15,7 @@ from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
 from .derivation import Derivation, _line, apply, determinant_coefficient, saito_determinant, signed_content
-from .poly import HomogPoly, InexactDivisionError, barrett, div_linear, div_linear_power, eval_raw, pack_residues
+from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw, pack_residues
 from .poly import reduce_packed, residue_width, taylor_window, times_linear, times_linear_power, unpack_residues
 
 
@@ -111,27 +111,28 @@ def _pair(field, theta1, theta2) -> BasisPair:
 
 
 def _into_frame(theta, line):
-    """An ``(f, g)`` member as the ramp of a form alpha carries it: ``(theta(alpha), degree, theta(beta))``.
+    """An ``(f, g)`` member as the ramp of a form alpha carries it: ``(theta(alpha), div, degree, theta(beta))``.
 
     beta is y for x + c*y (c = 0 for x) and x for y, so det(alpha, beta) = +-1.
     A non-monic form (over Q) has no such partner among x and y: its member
-    carries f and g themselves, ``(theta(alpha), degree, f, g)``.  Over F_p
-    theta(beta) is packed into one int (:func:`poly.residue_width`).
+    carries f and g themselves, ``(theta(alpha), div, degree, f, g)``.  Over F_p
+    theta(beta) is packed into one int (:func:`poly.residue_width`).  ``div``
+    is None: the quotient's :func:`_divide` is made by the first step that needs it.
     """
     f, g = theta
     a, b, p = line
     if a > 1:
-        return apply(f, g, a, b, p), len(f) - 1, f, g
+        return apply(f, g, a, b, p), None, len(f) - 1, f, g
     u, v = (g, f) if not a else (apply(f, g, a, b, p), g)
-    return u, len(f) - 1, pack_residues(v, p) if p else v
+    return u, None, len(f) - 1, pack_residues(v, p) if p else v
 
 
 def _out_of_frame(member, line):
-    """The ``(f, g)`` of a member ``(theta(alpha)/alpha^k, degree, theta(beta))`` in the frame of ``line``.
+    """The ``(f, g)`` of a member ``(theta(alpha)/alpha^k, div, degree, theta(beta))`` in the frame of ``line``.
 
     A non-monic form's member carries ``(f, g)`` as they are.
     """
-    u, degree, *images = member
+    u, _, degree, *images = member
     a, b, p = line
     if a > 1:
         return tuple(images)
@@ -151,98 +152,64 @@ def _primitive(member, line):
     and where g is zero, f is u*alpha^k, whose top coefficient has the sign
     of u's; for y, f is v and g is u*y^k.  A non-monic form carries f and g.
     """
-    u, degree, *images = member
+    u, _, degree, *images = member
     a = line[0]
     k = signed_content(*images) if a > 1 else signed_content(u, *images) if a else signed_content(*images, u)
     if k == 1:
         return member
     u, *images = (tuple([c // k for c in cs]) for cs in (u, *images))
-    return u, degree, *images
+    return u, None, degree, *images
 
 
-def _step(theta1, theta2, line, div1, div2, kit):
+def _divide(u, line):
+    """A quotient's division by the form: ``(quotient, remainder)``, or ``(None, value)`` for a non-monic form.
+
+    A monic form (every form over F_p; y and x + c*y over Q) divides once:
+    h = form*Q + r*y^deg is (-1)^deg * r at the kernel point (h = y*Q + r*x^deg
+    is r for y).  A non-monic form over Q is evaluated at its kernel point
+    instead, since dividing by it can leave Z.
+    """
+    a, b, p = line
+    return div_linear(u, a, b, p) if a < 2 else (None, eval_raw(u, b, -a, p))
+
+
+def _step(theta1, theta2, line):
     """One multiplicity-raising update; the engine behind the public operations.
 
     ``line`` is :func:`_line` of a form alpha of multiplicity k, and each
-    member is a tuple ``(theta(alpha)/alpha^k, degree, theta(beta), ...)``
-    in the frame of :func:`_into_frame`; all but the quotient and the
-    degree are linear images of (f, g).  (theta1, theta2) must be a basis
-    of D(A, mu); the returned ``(theta1', theta2', branch, div1', div2')``
-    is a basis at k + 1 in the same frame.  A ``div`` is None or the
-    division of that member's quotient by alpha that :func:`_advance`
-    already made; a step hands on the one of the quotient it leaves
-    unchanged.  Over Q both members must be primitive integer derivations,
-    like every member returned: by Gauss's lemma their products with the
-    primitive form stay primitive, with the same sign, so only the generic
-    combination is reduced and every value stays an integer.  Over F_p the
-    image is packed, ``kit`` is :func:`poly.barrett`'s for at least degree
-    + 2 slots (None over Q), and the generic g1 + q*g2 is one product by q
-    packed.  Every division is remainder-checked: a violated precondition
-    raises InexactDivisionError rather than giving a wrong answer.
+    member is a tuple ``(theta(alpha)/alpha^k, div, degree, theta(beta), ...)``
+    in the frame of :func:`_into_frame`; all after the degree are linear
+    images of (f, g), and ``div`` is None or the quotient's :func:`_divide`.
+    (theta1, theta2) must be a basis of D(A, mu), in either order: the member
+    of larger degree is taken as theta1.  The returned ``(theta1', theta2',
+    branch)`` is a basis at k + 1 in the same frame, and the member whose
+    quotient is unchanged keeps its division.
+    Over Q both members must be primitive integer derivations, like every
+    member returned: by Gauss's lemma their products with the primitive form
+    stay primitive, with the same sign, so only the generic combination is
+    reduced and every value stays an integer.  Over F_p the image is packed
+    and the generic g1 + q*g2 is one product by q packed.  Every division is
+    remainder-checked: a violated precondition raises InexactDivisionError
+    rather than giving a wrong answer.
     """
-    if theta1[1] < theta2[1]:
-        theta1, theta2, div1, div2 = theta2, theta1, div2, div1
-    a, b, p = line
-    d = theta1[1] - theta2[1]
-    branch, u1, u2, num, den, div = _advance(theta1[0], theta2[0], line, d, div1, div2)
-    if branch is Branch.G_VANISHING:
-        theta1 = (u1, theta1[1] + 1, *_times_form(theta1[2:], line, kit))
-        return theta1, (u2, *theta2[1:]), branch, div, None
-    images = theta2[2:]
-    theta2 = (u2, theta2[1] + 1, *_times_form(images, line, kit))
-    if branch is Branch.F_VANISHING:
-        return (u1, *theta1[1:]), theta2, branch, None, div
-    if p:  # primitive() is the identity over F_p; q as in _plus_q_times, with den = 1
-        q = pack_residues((num,) + (1,) * d if a else (0,) * d + (num,), p)
-        return (u1, theta1[1], reduce_packed(theta1[2] + images[0] * q, p, kit)), theta2, branch, None, div
-    theta1 = (u1, theta1[1], *[_plus_q_times(s, t, num, den, a, p) for s, t in zip(theta1[2:], images)])
-    return _primitive(theta1, line), theta2, branch, None, div
-
-
-def _times_form(images, line, kit):
-    """A member's images times the form: tuples over Q; over F_p the packed image times y, x or x + b*y."""
-    a, b, p = line
-    if not p:
-        return [times_linear(t, a, b, p) for t in images]
-    v, w = images[0], 8 * residue_width(p)
-    return [v if not a else v << w if not b else reduce_packed(v * (b % p) + (v << w), p, kit)]
-
-
-def _advance(f_quot, g_quot, line, d, f_div, g_div):
-    """:func:`_step` on the quotients alone: ``(branch, f', g', num, den, div)``.
-
-    The quotients belong to a pair whose degrees differ by ``d`` >= 0,
-    larger first, and ``f_div``/``g_div`` are None or their divisions by the
-    form: ``(quotient, remainder)``, or ``(None, value)`` for a non-monic
-    form.  A generic f' is (den*f + q*g) / form, not yet reduced; num and
-    den, which fix q, are None in the other branches.  ``div`` is the
-    division of the quotient left unchanged: f's (``f_div``) on a
-    g-vanishing step, g's otherwise.
-
-    A monic form (every form over F_p; y and x + c*y over Q) divides each
-    quotient once and branches on the remainder r: h = form*Q + r*y^deg is
-    (-1)^deg * r at the kernel point (h = y*Q + r*x^deg is r for y).  A
-    generic step reuses both divisions, since den*f + q*g equals
-    form*(den*Qf + q*Qg) + y^deg(g) * (den*rf*y^d + rg*q): it adds the
-    bracket's exact quotient by the form to the first d coefficients.  A
-    non-monic form over Q evaluates first: dividing by it can leave Z.
-    """
+    if theta1[2] < theta2[2]:
+        theta1, theta2 = theta2, theta1
     ax, ay, p = line
     px, py = ay, -ax % p if p else -ax
     monic = ax < 2
-    qg, g_val = g_div or (div_linear(g_quot, ax, ay, p) if monic else (None, eval_raw(g_quot, px, py, p)))
-
+    d = theta1[2] - theta2[2]
+    u1, div1, u2, div2 = theta1[0], theta1[1], theta2[0], theta2[1]
+    qg, g_val = div2 = div2 or _divide(u2, line)
     if not g_val:
         # form^(mult+1) already divides theta2(form): multiply theta1 instead
-        g_quot = qg if monic else div_linear_power(g_quot, ax, ay, p, 1)
-        return Branch.G_VANISHING, f_quot, g_quot, None, None, f_div
-
-    qf, f_val = f_div or (div_linear(f_quot, ax, ay, p) if monic else (None, eval_raw(f_quot, px, py, p)))
-
+        theta2 = (qg if monic else div_linear_power(u2, ax, ay, p, 1), None, *theta2[2:])
+        return (u1, div1, theta1[2] + 1, *_times_form(theta1[3:], line)), theta2, Branch.G_VANISHING
+    images = theta2[3:]
+    theta2 = (u2, div2, theta2[2] + 1, *_times_form(images, line))
+    qf, f_val = div1 or _divide(u1, line)
     if not f_val:
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
-        f_quot = qf if monic else div_linear_power(f_quot, ax, ay, p, 1)
-        return Branch.F_VANISHING, f_quot, g_quot, None, None, (qg, g_val)
+        return (qf if monic else div_linear_power(u1, ax, ay, p, 1), None, *theta1[2:]), theta2, Branch.F_VANISHING
 
     # generic case: clear the obstruction with den*theta1 + q*theta2, for the
     # q of _plus_q_times, and num/den making (den*f + q*g)(point) = 0
@@ -262,28 +229,41 @@ def _advance(f_quot, g_quot, line, d, f_div, g_div):
         c = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // c, den // c
     if not monic:
-        f_quot = div_linear_power(_plus_q_times(f_quot, g_quot, num, den, ax, p), ax, ay, p, 1)
-        return Branch.GENERIC, f_quot, g_quot, num, den, (qg, g_val)
+        u1 = div_linear_power(_plus_q_times(u1, u2, num, den, ax, p), ax, ay, p, 1)
+    else:
+        # synthetic division of the bracket from x^d (each coefficient above y^d
+        # is den*rg) gives den*t_j on x^j y^(d-1-j), t_(d-1) = rg and t_(j-1) =
+        # rg - ay*t_j, and leaves den*(rf - ay*t_0) + num*rg, which must vanish;
+        # den*f + q*g = form*(den*Qf + q*Qg) + y^deg(g) * (den*rf*y^d + rg*q)
+        t = 0
+        if py and d:
+            cs = list(qf)
+            for j in range(d - 1, -1, -1):
+                t = (rg - ay * t) % p if p else rg - ay * t
+                cs[j] += t
+            qf = tuple(cs)
+        r = den * (rf - ay * t) + num * rg
+        if r % p if p else r:
+            raise InexactDivisionError(f"({ax}*x + {ay}*y) does not divide the generic combination")
+        u1 = _plus_q_times(qf, qg, num, den, ax, p)
+    if p:  # primitive() is the identity over F_p; q as in _plus_q_times, with den = 1
+        q = pack_residues((num,) + (1,) * d if ax else (0,) * d + (num,), p)
+        return (u1, None, theta1[2], reduce_packed(theta1[3] + images[0] * q, p)), theta2, Branch.GENERIC
+    theta1 = (u1, None, theta1[2], *[_plus_q_times(s, t, num, den, ax, p) for s, t in zip(theta1[3:], images)])
+    return _primitive(theta1, line), theta2, Branch.GENERIC
 
-    # synthetic division of the bracket from x^d (each coefficient above y^d
-    # is den*rg) gives den*t_j on x^j y^(d-1-j), t_(d-1) = rg and t_(j-1) =
-    # rg - ay*t_j, and leaves den*(rf - ay*t_0) + num*rg, which must vanish
-    t = 0
-    if py and d:
-        cs = list(qf)
-        for j in range(d - 1, -1, -1):
-            t = (rg - ay * t) % p if p else rg - ay * t
-            cs[j] += t
-        qf = tuple(cs)
-    r = den * (rf - ay * t) + num * rg
-    if r % p if p else r:
-        raise InexactDivisionError(f"({ax}*x + {ay}*y) does not divide the generic combination")
-    f_quot = _plus_q_times(qf, qg, num, den, ax, p)
-    return Branch.GENERIC, f_quot, g_quot, num, den, (qg, g_val)
+
+def _times_form(images, line):
+    """A member's images times the form: tuples over Q; over F_p the packed image times y, x or x + b*y."""
+    a, b, p = line
+    if not p:
+        return [times_linear(t, a, b, p) for t in images]
+    v, w = images[0], 8 * residue_width(p)
+    return [v if not a else v << w if not b else reduce_packed(v * (b % p) + (v << w), p)]
 
 
 def _plus_q_times(B, h, num, den, ax, p):
-    """``den*B + q*h`` on coefficient tuples, for the q of :func:`_advance`'s generic branch.
+    """``den*B + q*h`` on coefficient tuples, for the q of :func:`_step`'s generic branch.
 
     q has degree d = deg B - deg h and is ``num*x^d`` when ``ax`` is 0 (the
     form is y), else ``num*y^d + den*(x^d + ... + x*y^(d-1))``.  Over F_p,
@@ -335,7 +315,7 @@ def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
     for theta in (theta.primitive()[0] for theta in pair):
         u, *rest = _into_frame((theta.f.coeffs, theta.g.coeffs), line)
         members.append((div_linear_power(u, a, b, p, mult), *rest))
-    theta1, theta2, _, _, _ = _step(*members, line, None, None, barrett(p, pair.theta1.degree + 2) if p else None)
+    theta1, theta2, _ = _step(*members, line)
     return _pair(pair.field, *(_out_of_frame(theta, line) for theta in (theta1, theta2)))
 
 
@@ -345,15 +325,11 @@ def _ramp(theta1, theta2, line, upto):
     (theta1, theta2) must be ``(f, g)`` members of a basis of an arrangement
     without it.  Yields ``(theta1', theta2', branch)``, the k-th pair a basis
     at multiplicity k in the frame of :func:`_into_frame`, whose ``(f, g)``
-    :func:`_out_of_frame` rebuilds; each step hands on its division.  Over
-    F_p the Barrett constants are built once, for the ramp's longest vector.
+    :func:`_out_of_frame` rebuilds; each member carries its division on.
     """
-    p = line[2]
-    kit = barrett(p, max(len(theta1[0]), len(theta2[0])) + upto) if p else None
     theta1, theta2 = _into_frame(theta1, line), _into_frame(theta2, line)
-    div1 = div2 = None
     for _ in range(upto):
-        theta1, theta2, branch, div1, div2 = _step(theta1, theta2, line, div1, div2, kit)
+        theta1, theta2, branch = _step(theta1, theta2, line)
         yield theta1, theta2, branch
 
 
@@ -362,7 +338,7 @@ def _window_ramp(theta1, theta2, d1, d2, p, k=0):
 
     A member of degree d is k carried entries, Taylor coefficients at alpha' in a frame (alpha', beta')
     with beta = alpha' + beta', then theta(alpha)'s first n.  Degrees are invariants of D(A, mu), so any
-    q clearing the obstruction will do: branching as :func:`_advance` does, the generic step takes
+    q clearing the obstruction will do: branching as :func:`_step` does, the generic step takes
     theta1' = t2*theta1 - t1*beta^d*theta2 (t_i the T_0s), whose window at alpha is t2*w1 - t1*w2, and
     drops its T_0: O(n + k), no polynomial.
     """
@@ -408,7 +384,7 @@ def _run_chain(items, observer=None):
         before = (len(theta1[0]) - 1, len(theta2[0]) - 1)
         for mult, (new1, new2, branch) in enumerate(_ramp(theta1, theta2, line, upto)):
             if observer is not None:
-                after = (new1[1], new2[1])
+                after = (new1[2], new2[2])
                 observer(form, mult, branch, before, after)
                 before = after
         theta1, theta2 = (_out_of_frame(theta, line) for theta in (new1, new2))

@@ -25,7 +25,12 @@ from .derivation import Derivation
 from .field import Field
 from .oracle import dimension_table, exponents_by_oracle
 
-ORACLE_TOTAL_LIMIT = 16
+# ``oracle`` ranks every degree up to |mu| for its table; over Q the Bareiss entries grow with the
+# lines' height.  On one shared core (Python 3.11.7) it takes 1.1-1.7 s at |mu| = 40 over Q on
+# 3x - 2y, 2x + 3y, x - 3y, 3x + y (3.7 s at 48), and 2.7-3.1 s at |mu| = 128 over F_(2^31 - 1) on
+# the same lines, none of which fixes columns (0.6 s on y, x, x + y, x - y).
+ORACLE_TOTAL_LIMIT = 40
+ORACLE_FP_TOTAL_LIMIT = 128
 # ``basis``, ``trace`` and ``exponents`` run the chain, quadratic in |mu|
 # and slower still over Q as coefficients grow.  On one shared core (Python
 # 3.11.7) ``basis`` takes 11.5 s at |mu| = 500 on the lines y, x, x + y,
@@ -188,7 +193,8 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     arrangement = _load(args.arrangement)
-    _check_limit("oracle", "|mu|", arrangement.total, ORACLE_TOTAL_LIMIT)
+    limit = ORACLE_FP_TOTAL_LIMIT if arrangement.field.characteristic else ORACLE_TOTAL_LIMIT
+    _check_limit("oracle", "|mu|", arrangement.total, limit)
     table = dimension_table(arrangement)
     for d, dim in enumerate(table):
         print(f"d = {d}: dim {dim}")

@@ -21,7 +21,7 @@ import math
 from operator import mul
 
 from .arrangement import Multiarrangement
-from .poly import barrett, pack_residues, reduce_packed, residue_width
+from .poly import pack_residues, reduce_packed, residue_width
 
 
 def _constraint_rows(arrangement: Multiarrangement, d: int):
@@ -87,7 +87,7 @@ def _rank_mod_p(rows, p: int) -> int:
     grows its slots by at most (p - 1)^2 per pivot, at most once per column,
     so only the pivot rows are reduced.
     """
-    w, kit = residue_width(p), barrett(p, len(rows[0]))
+    w = residue_width(p)
     low = (1 << 8 * w) - 1
     mat = [pack_residues(row, p) for row in rows]
     rank = 0
@@ -96,7 +96,7 @@ def _rank_mod_p(rows, p: int) -> int:
         if i is None:
             mat = [r >> 8 * w for r in mat]
             continue
-        pivot = reduce_packed(mat.pop(i), p, kit)
+        pivot = reduce_packed(mat.pop(i), p)
         c = p - pow(pivot & low, -1, p)
         mat = [(r + (r & low) * c % p * pivot) >> 8 * w for r in mat]
         rank += 1

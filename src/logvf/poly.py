@@ -172,20 +172,27 @@ def unpack_residues(v, n, p):
     return struct.unpack("<" + f"Q{w - 8}x" * n, buf)
 
 
-def barrett(p, n):
-    """``(k, m, mask)``: what :func:`reduce_packed` needs for vectors of up to n slots over F_p.
+@lru_cache
+def barrett(p, t):
+    """``(k, m, mask)``: what :func:`reduce_packed` needs for packed vectors below 2^(2^t) over F_p.
 
     m = ceil(2^k / p) with k = e + bits(p) makes floor(c*m / 2^k) exactly
     floor(c/p) for every c below 2^e, as c*(m*p - 2^k) / (p*2^k) < 2^-bits(p)
-    < 1/p; mask keeps the low 8*w - k bits of each slot, where that quotient lands.
+    < 1/p; mask keeps the low 8*w - k bits of each slot, where that quotient
+    lands, in every slot that starts below bit 2^t.
     """
     w, k = residue_width(p), 3 * p.bit_length() + 32
+    n = -(-(1 << t) // (8 * w))
     return k, -(-(1 << k) // p), int.from_bytes(((1 << (8 * w - k)) - 1).to_bytes(w, "little") * n, "little")
 
 
-def reduce_packed(v, p, kit):
-    """Every slot of a packed vector (each below 2^e) reduced mod p at once, ``kit`` from :func:`barrett`."""
-    k, m, mask = kit
+def reduce_packed(v, p):
+    """Every slot of a packed vector (each below 2^e) reduced mod p at once.
+
+    v's bit length, rounded up to a power of two, picks :func:`barrett`'s
+    constants, so few are built and cached; a mask longer than v is harmless.
+    """
+    k, m, mask = barrett(p, v.bit_length().bit_length())
     return v - ((v * m >> k) & mask) * p
 
 

@@ -9,7 +9,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_ab_tool_reports_every_job_set():
-    sets = "sweep-box,chain-q,fp-xcheck,exponents-q"
+    sets = "sweep-box,chain-q,fp-xcheck,exponents-q,chain-fp-large"
     src = str(ROOT / "src")
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), src, src, "--sets", sets, "--passes", "3", "--tiny"],

@@ -27,7 +27,7 @@ from logvf import (
 from logvf import basis
 from logvf.basis import _into_frame, _line, _out_of_frame, _plus_q_times, _ramp, _ramp_degrees, _step, _window_ramp
 from logvf.derivation import apply, primitive
-from logvf.poly import barrett, div_linear, div_linear_power, eval_raw, taylor_window
+from logvf.poly import div_linear, div_linear_power, eval_raw, taylor_window, unpack_residues
 
 from conftest import dense_determinant, dense_product, sample_arrangements
 
@@ -48,16 +48,15 @@ def member(theta):
 def step(theta1, theta2, form, mult):
     """:func:`_step` on ``(f, g)`` members, taken into the form's frame at multiplicity mult and back.
 
-    Returns ``(theta1', theta2', branch, div1, div2)`` with ``(f, g)`` members.
+    Returns ``(theta1', theta2', branch)`` with ``(f, g)`` members.
     """
     a, b, p = line = _line(form)
     members = []
     for theta in (theta1, theta2):
-        u, *images = _into_frame(theta, line)
-        members.append((div_linear_power(u, a, b, p, mult), *images))
-    kit = barrett(p, max(len(theta1[0]), len(theta2[0])) + 1) if p else None
-    new1, new2, branch, div1, div2 = _step(*members, line, None, None, kit)
-    return _out_of_frame(new1, line), _out_of_frame(new2, line), branch, div1, div2
+        u, *rest = _into_frame(theta, line)
+        members.append((div_linear_power(u, a, b, p, mult), *rest))
+    new1, new2, branch = _step(*members, line)
+    return _out_of_frame(new1, line), _out_of_frame(new2, line), branch
 
 
 DX, DY = ((1,), (0,)), ((0,), (1,))
@@ -96,9 +95,9 @@ def test_update_first_steps():
 
 
 def test_update_branches_reported():
-    _, _, branch, _, _ = step(DX, DY, X, 0)
+    _, _, branch = step(DX, DY, X, 0)
     assert branch is Branch.G_VANISHING  # theta2(x) = 0
-    t1, t2, branch, _, _ = step(member(x_dx()), DY, Y, 0)
+    t1, t2, branch = step(member(x_dx()), DY, Y, 0)
     assert branch is Branch.F_VANISHING  # theta1(y) = 0, theta2(y) = 1
     assert (t1, t2) == (member(x_dx()), member(y_dy()))
 
@@ -208,21 +207,24 @@ def test_build_output_is_verified_and_primitive():
 
 def test_step_quotients_stay_integral_over_q():
     # ramp integer lines, non-monic ones included, through _step with the
-    # frame members and the carried divisions threaded along, as the chain does
+    # frame members, with the divisions they carry, threaded along as the chain does
     forms = [LinearForm(RATIONALS, a, b) for a, b in [(0, 1), (3, -2), (1, 1), (2, 1)]]
     theta1, theta2 = DX, DY
     branches = set()
     for form in forms:
         line = _line(form)
         member1, member2 = (_into_frame(theta, line) for theta in (theta1, theta2))
-        div1 = div2 = None
         for _ in range(5):
-            member1, member2, branch, div1, div2 = _step(member1, member2, line, div1, div2, None)
+            member1, member2, branch = _step(member1, member2, line)
             branches.add(branch)
             for member in (member1, member2):
-                # (quotient, degree, images...): the degree is the one entry that is not a tuple
-                assert type(member[1]) is int
-                assert all(type(c) is int for cs in (member[0], *member[2:]) for c in cs)
+                # (quotient, div, degree, images...): the degree is the one entry that is an int
+                assert type(member[2]) is int
+                assert all(type(c) is int for cs in (member[0], *member[3:]) for c in cs)
+                # div is None, (quotient, remainder) or (None, value), in ints as well
+                if member[1] is not None:
+                    quot, value = member[1]
+                    assert type(value) is int and (quot is None or all(type(c) is int for c in quot))
             theta1, theta2 = (_out_of_frame(member, line) for member in (member1, member2))
             for f, g in (theta1, theta2):
                 assert all(type(c) is int for c in f + g)
@@ -320,7 +322,7 @@ def test_generic_step_equals_dense_combination():
             for m in range(mult):
                 if len(theta1[0]) < len(theta2[0]):
                     theta1, theta2 = theta2, theta1
-                new1, new2, branch, _, _ = step(theta1, theta2, form, m)
+                new1, new2, branch = step(theta1, theta2, form, m)
                 if branch is Branch.GENERIC:
                     generic += 1
                     assert new1 == _generic_reference(theta1, theta2, form, m)
@@ -370,7 +372,7 @@ def test_degree_ramp_matches_full_ramp():
     cases = chain(ramp_cases(seed=5, count=32), ramp_cases(seed=6, count=16, fields=[Field(2), Field(13)]))
     for arrangement, form, upto in cases:
         theta1, theta2 = map(member, build_basis(arrangement))
-        full = [(t1[1], t2[1]) for t1, t2, _ in _ramp(theta1, theta2, _line(form), upto)]
+        full = [(t1[2], t2[2]) for t1, t2, _ in _ramp(theta1, theta2, _line(form), upto)]
         assert list(_ramp_degrees(theta1, theta2, _line(form), upto)) == full, (arrangement, form)
 
 
@@ -413,10 +415,11 @@ def test_exponents_equal_basis_degrees():
 
 
 def _advance_by_evaluation(f_quot, g_quot, line, d):
-    """The step on quotients as it was before it branched on remainders.
+    """The step on quotients as it was before it branched on remainders: ``(branch, f', g', num, den)``.
 
     Evaluate at the kernel point, divide on a vanishing branch, and divide
-    the whole generic combination again: the reference for basis._advance.
+    the whole generic combination again: the reference for the quotients of
+    basis._step.
     """
     ax, ay, p = line
     px, py = ay, -ax % p if p else -ax
@@ -444,28 +447,28 @@ def _advance_by_evaluation(f_quot, g_quot, line, d):
 
 
 def _division(quot, line):
-    """A quotient's division by the form as ``_advance`` makes it: ``(quotient, remainder)``, or ``(None, value)``."""
+    """A quotient's division by the form as ``_step`` makes it: ``(quotient, remainder)``, or ``(None, value)``."""
     ax, ay, p = line
     if ax < 2:
         return div_linear(quot, ax, ay, p)
     return None, eval_raw(quot, ay, -ax, p)
 
 
-def advance_inputs(monkeypatch, field, seed, count):
-    """Every ``_advance`` argument tuple of seeded chains over ``field``.
+def step_inputs(monkeypatch, field, seed, count):
+    """Every ``_step`` argument tuple of seeded chains over ``field``, each pair sorted by degree as ``_step`` does.
 
     One line of each arrangement has multiplicity 13 to 16, so the degree
     gap d runs through 0..12; over Q the non-monic 2x + y and 3x - 2y are
     always present.
     """
     seen = []
-    advance = basis._advance
+    step_fn = basis._step
 
-    def spy(*args):
-        seen.append(args)
-        return advance(*args)
+    def spy(theta1, theta2, line):
+        seen.append((theta1, theta2, line) if theta1[2] >= theta2[2] else (theta2, theta1, line))
+        return step_fn(theta1, theta2, line)
 
-    monkeypatch.setattr(basis, "_advance", spy)
+    monkeypatch.setattr(basis, "_step", spy)
     rng = random.Random(seed)
     pool = small_forms(field)
     for _ in range(count):
@@ -475,27 +478,49 @@ def advance_inputs(monkeypatch, field, seed, count):
         mult = {f: rng.randint(1, 6) for f in forms}
         mult[rng.choice(forms)] = rng.randint(13, 16)
         build_basis(Multiarrangement(field, mult))
-    monkeypatch.setattr(basis, "_advance", advance)
+    monkeypatch.setattr(basis, "_step", step_fn)
     return seen
+
+
+def _generic_images(theta1, theta2, num, den, line):
+    """theta1's images after a generic step, den*theta1 + q*theta2 for the q of num and den, as tuples."""
+    p = line[2]
+    images = [[unpack_residues(v, m[2] + 1, p) if p else v for v in m[3:]] for m in (theta1, theta2)]
+    return [_plus_q_times(s, t, num, den, line[0], p) for s, t in zip(*images)]
 
 
 @pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)
 def test_advance_matches_evaluate_then_divide(monkeypatch, field):
     covered = set()
     carried = 0
-    for f_quot, g_quot, line, d, f_div, g_div in advance_inputs(monkeypatch, field, seed=17, count=12):
-        new = basis._advance(f_quot, g_quot, line, d, f_div, g_div)
-        old = _advance_by_evaluation(f_quot, g_quot, line, d)
-        assert new[0] is old[0] and new[3:5] == old[3:], (line, d)
-        assert new[1:3] == old[1:3], (line, d)
-        covered.add((new[0], d if new[0] is Branch.GENERIC else None))
-        # a carried division is the one of the quotient it came with, made afresh
-        for quot, div in ((f_quot, f_div), (g_quot, g_div)):
-            if div is not None:
+    for theta1, theta2, line in step_inputs(monkeypatch, field, seed=17, count=12):
+        p, d = line[2], theta1[2] - theta2[2]
+        new1, new2, branch = basis._step(theta1, theta2, line)
+        old = _advance_by_evaluation(theta1[0], theta2[0], line, d)
+        assert branch is old[0], (line, d)
+        assert new2[0] == old[2], (line, d)
+        if branch is Branch.GENERIC:
+            # num and den fix theta1's images too; over Q the quotient and the
+            # images share the content that _primitive divides out
+            expected = [old[1], *_generic_images(theta1, theta2, *old[3:], line)]
+            got = [new1[0], *(unpack_residues(v, new1[2] + 1, p) if p else v for v in new1[3:])]
+            k = 1 if p else next(s // t for s, t in zip(chain(*expected), chain(*got)) if t)
+            assert expected == [tuple(k * c for c in cs) for cs in got], (line, d)
+        else:
+            assert new1[0] == old[1], (line, d)
+        covered.add((branch, d if branch is Branch.GENERIC else None))
+        # a carried division is the one of the quotient it comes with, made afresh
+        for member in (theta1, theta2):
+            if member[1] is not None:
                 carried += 1
-                assert div == _division(quot, line), (line, d)
-        kept = f_quot if new[0] is Branch.G_VANISHING else g_quot
-        assert new[5] is None or new[5] == _division(kept, line), (line, d)
+                assert member[1] == _division(member[0], line), (line, d)
+        for member in (new1, new2):
+            assert member[1] is None or member[1] == _division(member[0], line), (line, d)
+        # the member whose quotient is unchanged keeps its division; the other's is dropped
+        if branch is Branch.G_VANISHING:
+            assert new1[1] == theta1[1] and new2[1] is None, (line, d)
+        else:
+            assert new2[1] == _division(theta2[0], line) and new1[1] is None, (line, d)
     assert {branch for branch, _ in covered} == set(Branch)
     assert {d for _, d in covered} >= set(range(13))
     assert carried >= 100

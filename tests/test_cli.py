@@ -20,6 +20,8 @@ from logvf import (
 from logvf.cli import (
     CHAIN_TOTAL_LIMIT,
     FROBENIUS_TOTAL_LIMIT,
+    ORACLE_FP_TOTAL_LIMIT,
+    ORACLE_TOTAL_LIMIT,
     PROP_TUPLE_LIMIT,
     PROP_WORK_LIMIT,
     VERIFY_DEGREE_LIMIT,
@@ -244,10 +246,17 @@ def test_oracle_command(tmp_path, capsys):
     assert "exponents: {2, 1}" in out
 
 
-def test_oracle_command_size_limit(tmp_path, capsys):
-    path = write(tmp_path, "field Q\n1 0 17\n")
-    assert main(["oracle", path]) == 2
-    assert "16" in capsys.readouterr().err
+def test_oracle_command_size_limit(tmp_path, capsys, monkeypatch):
+    def no_oracle(arrangement):
+        raise AssertionError("the oracle must not start above the size limit")
+
+    monkeypatch.setattr("logvf.cli.dimension_table", no_oracle)
+    for field, limit in (("Q", ORACLE_TOTAL_LIMIT), ("F 101", ORACLE_FP_TOTAL_LIMIT)):
+        path = write(tmp_path, f"field {field}\n1 0 {limit + 1}\n")
+        assert main(["oracle", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: oracle is limited to |mu| <= {limit}, got {limit + 1}\n"
 
 
 

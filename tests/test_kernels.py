@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from logvf import Derivation, Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 from logvf.derivation import apply, primitive
-from logvf.poly import _packed_product, barrett, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed
+from logvf.poly import _packed_product, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed
 from logvf.poly import residue_width, taylor_window, times_linear, times_linear_power, unpack_residues
 
 from conftest import dense_product
@@ -363,7 +363,21 @@ def test_packed_reduction_at_the_bounds_of_a_slot(p):
         vectors.append([rng.choice((*bounds, rng.randrange(top))) for _ in range(rng.randint(1, 60))])
     for values in vectors:
         packed = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in values), "little")
-        reduced = reduce_packed(packed, p, barrett(p, len(values)))
+        reduced = reduce_packed(packed, p)
         expected = tuple(v % p for v in values)
         assert unpack_residues(reduced, len(values), p) == expected, values
         assert pack_residues(expected, p) == reduced, values
+
+
+@pytest.mark.parametrize("p", [2, 101, 2**31 - 1, 2**64 - 59, 2**64 + 13])
+def test_packed_reduction_derives_its_constants_for_every_slot_count(p):
+    # reduce_packed picks its constants by the vector's bit length rounded up
+    # to a power of two; slot counts 1 to 70 cross 2, 4, ..., 64, and the top
+    # slot, just below 2^e, is the one that a mask rounded down would leave unreduced
+    w, top = residue_width(p), (1 << (2 * p.bit_length() + 32)) - 1
+    high = top - (top + 1) % p  # the largest value below 2^e that is -1 mod p
+    rng = random.Random(p)
+    for n in range(1, 71):
+        values = [rng.choice((top, high, rng.randrange(top))) for _ in range(n - 1)] + [high]
+        packed = int.from_bytes(b"".join(v.to_bytes(w, "little") for v in values), "little")
+        assert unpack_residues(reduce_packed(packed, p), n, p) == tuple(v % p for v in values), (p, n)

@@ -9,7 +9,9 @@ quartiles and the number of passes in which B was faster.
 
 Job sets: ``sweep-box``, ``chain-q`` and ``fp-xcheck`` come from
 ``perfbench.workloads`` unchanged; ``exponents-q`` is ``exponents()`` over Q
-on lines of height 2 to 3, including 2x+y:108, 3x-2y:95, x+2y:84, x-3y:119.
+on lines of height 2 to 3, including 2x+y:108, 3x-2y:95, x+2y:84, x-3y:119;
+``chain-fp-large`` is ``build_basis`` over F_(2^31-1) on y, x, x+y, x-y at
+|mu| 2000, 4000 and 8000 (100 and 200 with ``--tiny``), Saito-verified.
 Each answer is checked once with the job's own check on both trees.
 
     python tools/ab.py PARENT/src src --sets sweep-box,exponents-q --passes 21
@@ -56,7 +58,26 @@ class ExponentsJob:
         return []
 
 
+class ChainFpJob:
+    """``build_basis`` over F_(2^31-1) on y, x, x+y, x-y, each of multiplicity |mu|/4; the check is Saito's criterion."""
+
+    def __init__(self, total):
+        lines = [(form, total // 4) for form in ((0, 1), (1, 0), (1, 1), (1, -1))]
+        self.text = workloads.arrangement_text("F 2147483647", lines)
+
+    def prepare(self, lv):
+        self.arrangement = lv.cli.parse_arrangement_text(self.text)
+
+    def solve(self, lv):
+        return lv.build_basis(self.arrangement)
+
+    def check(self, lv, answer):
+        return [] if lv.verify_basis(answer, self.arrangement) else [f"no basis of {self.arrangement}"]
+
+
 def job_set(name, seed, tiny):
+    if name == "chain-fp-large":
+        return [ChainFpJob(total) for total in ((100, 200) if tiny else (2000, 4000, 8000))]
     if name == "exponents-q":
         shrink = 10 if tiny else 1
         families = EXPONENT_FAMILIES[:1] if tiny else EXPONENT_FAMILIES
