@@ -1,19 +1,21 @@
 """Mutation smoke: hand-made mutants of ``src/`` that their own test file must kill.
 
-Each entry is (name, file, exact old text, new text, test file).  The runner
-copies ``src/`` and ``tests/`` into a temporary directory, replaces the old
-text (which must occur exactly once) by the new one, and runs only that
-entry's test file there.  It fails if an old text is missing or repeated,
-or if pytest passes on a mutant.  An entry changes together with the code it
-names; a refactor that moves an old text updates the entry.
+Each entry is (name, file, exact old text, new text, test file).  For each
+entry the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+temporary directory, runs that entry's test file there and requires it to
+pass, then replaces the old text (which must occur exactly once) by the new
+one and runs the test file again.  A mutant counts as killed when pytest
+exits 1 (tests failed) or runs past ``TIMEOUT`` (a hang, reported as such).
+The run fails if an old text is missing or repeated, if the unmutated copy
+does not pass, if pytest exits with any other code, or if a mutant passes.
+An entry changes together with the code it names; a refactor that moves an
+old text updates the entry.
 
-    python tools/mutants.py            # every entry, about a minute
-    python tools/mutants.py --check    # only that each old text occurs exactly once
+    python tools/mutants.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -25,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 POLY, BASIS, DERIVATION, ORACLE = (f"src/logvf/{name}.py" for name in ("poly", "basis", "derivation", "oracle"))
 KERNELS = "tests/test_kernels.py"
+TIMEOUT = 300  # seconds per pytest run
 
 MUTANTS = (
     ("the Q bias one byte short", POLY, "half = 1 << (8 * w - 1)", "half = 1 << (8 * w - 9)", KERNELS),
@@ -80,45 +83,50 @@ def check():
     return [(name, n) for name, path, old, _, _ in MUTANTS if (n := (ROOT / path).read_text().count(old)) != 1]
 
 
-def run(name, path, old, new, tests, timeout):
-    """Whether pytest fails on the test file ``tests`` with the mutant applied in a fresh copy; and the seconds."""
+def _pytest(tmp, env, tests):
+    """pytest's exit code on the test file ``tests`` in the copy ``tmp``, or None past ``TIMEOUT``."""
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", tests],
+            cwd=tmp, env=env, capture_output=True, timeout=TIMEOUT,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run(name, path, old, new, tests):
+    """The outcome of one entry in a fresh copy, ``killed...``, ``SURVIVED`` or ``ERROR...``; and the seconds."""
     with tempfile.TemporaryDirectory() as tmp:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, Path(tmp) / part, ignore=shutil.ignore_patterns("__pycache__"))
-        target = Path(tmp) / path
-        target.write_text(target.read_text().replace(old, new))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         probe = [sys.executable, "-c", "import logvf; print(logvf.__file__)"]
         where = subprocess.run(probe, cwd=tmp, env=env, capture_output=True, text=True, check=True).stdout
         if not Path(where.strip()).resolve().is_relative_to(Path(tmp).resolve()):
             raise SystemExit(f"the copy is not the logvf imported: {where.strip()}")
         start = time.perf_counter()
-        try:
-            code = subprocess.run(
-                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", tests],
-                cwd=tmp, env=env, capture_output=True, timeout=timeout,
-            ).returncode
-        except subprocess.TimeoutExpired:
-            code = None  # a mutant that hangs its tests is caught by them too
-        return code != 0, time.perf_counter() - start
+        if (code := _pytest(tmp, env, tests)) != 0:
+            return f"ERROR: the unmutated copy exits {code}", time.perf_counter() - start
+        target = Path(tmp) / path
+        target.write_text(target.read_text().replace(old, new))
+        code = _pytest(tmp, env, tests)
+        outcome = {1: "killed", 0: "SURVIVED", None: f"killed by the {TIMEOUT} s timeout (a hang)"}
+        return outcome.get(code, f"ERROR: pytest exits {code}"), time.perf_counter() - start
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--check", action="store_true", help="only check that each old text occurs exactly once")
-    parser.add_argument("--timeout", type=float, default=300, help="seconds per mutant's test run")
-    args = parser.parse_args(argv)
+def main():
     bad = check()
     for name, n in bad:
         print(f"{name}: old text occurs {n} times, not once")
-    if bad or args.check:
-        return 1 if bad else 0
-    survivors = 0
+    if bad:
+        return 1
+    failures = 0
     for entry in MUTANTS:
-        killed, seconds = run(*entry, args.timeout)
-        survivors += not killed
-        print(f"{'killed' if killed else 'SURVIVED'} in {seconds:.1f} s: {entry[0]} ({entry[4]})", flush=True)
-    return 1 if survivors else 0
+        outcome, seconds = run(*entry)
+        failures += not outcome.startswith("killed")
+        print(f"{outcome} in {seconds:.1f} s: {entry[0]} ({entry[4]})", flush=True)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
