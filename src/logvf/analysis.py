@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
-from .basis import BasisPair, Branch, _line, _out_of_frame, _pair, _ramp, _run_chain, _window_ramp, verify_basis
+from .basis import BasisPair, Branch, _divide, _line, _out_of_frame, _pair, _ramp, _run_chain, _window_ramp
+from .basis import verify_basis
 from .derivation import Derivation, apply
 from .field import Field
-from .poly import HomogPoly, eval_raw, taylor_window, times_linear_power
+from .poly import HomogPoly, taylor_window, times_linear_power
 
 
 # ----------------------------------------------------------------------
@@ -89,8 +90,8 @@ class NoGenericFormError(Exception):
 
 def _avoids_obstruction(theta2: Derivation, form: LinearForm) -> bool:
     """True when form does not divide theta2(form)."""
-    a, b, p = form.ax, form.ay, form.field.characteristic
-    return bool(eval_raw(apply(theta2.f.coeffs, theta2.g.coeffs, a, b, p), *form.point_raw(), p))
+    a, b, p = line = _line(form)
+    return bool(_divide(apply(theta2.f.coeffs, theta2.g.coeffs, a, b, p), line)[1])
 
 
 def _ladder():

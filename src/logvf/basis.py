@@ -162,15 +162,17 @@ def _primitive(member, line):
 
 
 def _divide(u, line):
-    """A quotient's division by the form: ``(quotient, remainder)``, or ``(None, value)`` for a non-monic form.
+    """A quotient's division by the form: ``(quotient, value)``, the value at the kernel point (-ay, ax).
 
-    A monic form (every form over F_p; y and x + c*y over Q) divides once:
-    h = form*Q + r*y^deg is (-1)^deg * r at the kernel point (h = y*Q + r*x^deg
-    is r for y).  A non-monic form over Q is evaluated at its kernel point
-    instead, since dividing by it can leave Z.
+    A monic form (every form over F_p; y and x + c*y over Q) divides once: h = form*Q + r*y^deg is r
+    at (-c, 1), and h = y*Q + r*x^deg is r at (1, 0), the point taken for y.  A non-monic form over Q,
+    by which dividing can leave Z, divides only where its value is 0; elsewhere the quotient is None.
     """
     a, b, p = line
-    return div_linear(u, a, b, p) if a < 2 else (None, eval_raw(u, b, -a, p))
+    if a < 2:
+        return div_linear(u, a, b, p)
+    value = eval_raw(u, -b, a, p)
+    return None if value else div_linear_power(u, a, b, p, 1), value
 
 
 def _step(theta1, theta2, line):
@@ -195,27 +197,23 @@ def _step(theta1, theta2, line):
     if theta1[2] < theta2[2]:
         theta1, theta2 = theta2, theta1
     ax, ay, p = line
-    px, py = ay, -ax % p if p else -ax
-    monic = ax < 2
+    px, py = -ay, ax
     d = theta1[2] - theta2[2]
     u1, div1, u2, div2 = theta1[0], theta1[1], theta2[0], theta2[1]
     qg, g_val = div2 = div2 or _divide(u2, line)
     if not g_val:
         # form^(mult+1) already divides theta2(form): multiply theta1 instead
-        theta2 = (qg if monic else div_linear_power(u2, ax, ay, p, 1), None, *theta2[2:])
+        theta2 = (qg, None, *theta2[2:])
         return (u1, div1, theta1[2] + 1, *_times_form(theta1[3:], line)), theta2, Branch.G_VANISHING
     images = theta2[3:]
     theta2 = (u2, div2, theta2[2] + 1, *_times_form(images, line))
     qf, f_val = div1 or _divide(u1, line)
     if not f_val:
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
-        return (qf if monic else div_linear_power(u1, ax, ay, p, 1), None, *theta1[2:]), theta2, Branch.F_VANISHING
+        return (qf, None, *theta1[2:]), theta2, Branch.F_VANISHING
 
     # generic case: clear the obstruction with den*theta1 + q*theta2, for the
     # q of _plus_q_times, and num/den making (den*f + q*g)(point) = 0
-    rf, rg = f_val, g_val
-    if monic and py and d % 2:
-        f_val = -f_val  # the values are (-1)^deg times these; only the ratio counts
     if py:  # tail = px^d + px^(d-1)*py + ... + px*py^(d-1): a geometric series, or d*px^d when px = py (x - y)
         xd, yd, gap = pow(px, d, p or None), pow(py, d, p or None), (px - py) % p if p else px - py
         tail = (px * (xd - yd) * pow(gap, -1, p) if p else px * (xd - yd) // gap) if gap else d * xd
@@ -228,21 +226,20 @@ def _step(theta1, theta2, line):
     else:
         c = gcd(num, den) if den > 0 else -gcd(num, den)
         num, den = num // c, den // c
-    if not monic:
+    if ax > 1:
         u1 = div_linear_power(_plus_q_times(u1, u2, num, den, ax, p), ax, ay, p, 1)
     else:
-        # synthetic division of the bracket from x^d (each coefficient above y^d
-        # is den*rg) gives den*t_j on x^j y^(d-1-j), t_(d-1) = rg and t_(j-1) =
-        # rg - ay*t_j, and leaves den*(rf - ay*t_0) + num*rg, which must vanish;
-        # den*f + q*g = form*(den*Qf + q*Qg) + y^deg(g) * (den*rf*y^d + rg*q)
+        # den*f + q*g = form*(den*Qf + q*Qg) + y^deg(g)*(den*f_val*y^d + g_val*q); synthetic division of the
+        # bracket from x^d (each coefficient above y^d is den*g_val) gives den*t_j on x^j y^(d-1-j), t_(d-1) =
+        # g_val and t_(j-1) = g_val - ay*t_j, and leaves den*(f_val - ay*t_0) + num*g_val, which must vanish
         t = 0
         if py and d:
             cs = list(qf)
             for j in range(d - 1, -1, -1):
-                t = (rg - ay * t) % p if p else rg - ay * t
+                t = (g_val - ay * t) % p if p else g_val - ay * t
                 cs[j] += t
             qf = tuple(cs)
-        r = den * (rf - ay * t) + num * rg
+        r = den * (f_val - ay * t) + num * g_val
         if r % p if p else r:
             raise InexactDivisionError(f"({ax}*x + {ay}*y) does not divide the generic combination")
         u1 = _plus_q_times(qf, qg, num, den, ax, p)

@@ -122,21 +122,21 @@ class Derivation:
     def is_member(self, arrangement: Multiarrangement) -> bool:
         """Whether this derivation lies in D(A, mu) for the given arrangement.
 
-        A zero theta(alpha) is divisible by every power of alpha, a nonzero h
-        of degree D by none above D, so m = min(mu(alpha), D + 1) is tested
-        whatever mu is: alpha^m divides h when its first m Taylor coefficients
-        at alpha, which :func:`poly.taylor_window` reads, vanish.  Over Q the
+        alpha^m divides h = theta(alpha) when its first m = mu(alpha) Taylor
+        coefficients at alpha vanish.  :func:`poly.taylor_window` caps m: it
+        computes at most T_0 .. T_D of h, of degree D, and pads lazily with
+        zeros past them, so a mu past D + 1 costs nothing more.  Over Q the
         denominators are cleared first: a nonzero scalar keeps membership.
         """
         if arrangement.field != self.field:
             raise ValueError("arrangement lives over a different field")
-        f, g, p, d = self.f.coeffs, self.g.coeffs, self.field.characteristic, self.degree
+        f, g, p = self.f.coeffs, self.g.coeffs, self.field.characteristic
         if not p:
             f, g, _ = _cleared(f, g)
         for form, mult in arrangement.items():
             a, b, _ = _line(form)
             h = apply(f, g, a, b, p)
-            if any(h) and any(taylor_window(h, a, b, p, min(mult, d + 1))):
+            if any(h) and any(taylor_window(h, a, b, p, mult)):
                 return False
         return True
 

@@ -19,3 +19,13 @@ def test_ab_tool_reports_every_job_set():
     assert [line.split(":")[0] for line in lines] == sets.split(",")
     for line in lines:
         assert re.fullmatch(r"[\w-]+: time ratio B/A \d+\.\d{3} \[\d+\.\d{3}-\d+\.\d{3}\], B faster in [0-3]/3 passes", line)
+
+
+def test_ab_tool_names_the_set_and_the_filter_that_keep_no_job():
+    src = str(ROOT / "src")
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), src, src, "--sets", "exponents-q", "--only", "nomatch", "--tiny"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 1 and run.stdout == ""
+    assert run.stderr == "exponents-q: no job's label contains 'nomatch'\n"

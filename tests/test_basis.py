@@ -27,7 +27,7 @@ from logvf import (
 from logvf import basis
 from logvf.basis import _into_frame, _line, _out_of_frame, _plus_q_times, _ramp, _ramp_degrees, _step, _window_ramp
 from logvf.derivation import apply, primitive
-from logvf.poly import div_linear, div_linear_power, eval_raw, taylor_window, unpack_residues
+from logvf.poly import div_linear, div_linear_power, eval_raw, taylor_window, times_linear, unpack_residues
 
 from conftest import dense_determinant, dense_product, sample_arrangements
 
@@ -447,11 +447,39 @@ def _advance_by_evaluation(f_quot, g_quot, line, d):
 
 
 def _division(quot, line):
-    """A quotient's division by the form as ``_step`` makes it: ``(quotient, remainder)``, or ``(None, value)``."""
+    """A quotient's division by the form as ``_step`` makes it: ``(quotient, value)`` at the point (-ay, ax).
+
+    A monic form's remainder is that value; a non-monic form's quotient is
+    None where the value is nonzero, else the exact quotient.
+    """
     ax, ay, p = line
     if ax < 2:
         return div_linear(quot, ax, ay, p)
-    return None, eval_raw(quot, ay, -ax, p)
+    value = eval_raw(quot, -ay, ax, p)
+    return None if value else div_linear(quot, ax, ay, p)[0], value
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(2**31 - 1)], ids=str)
+def test_divide_reads_every_form_at_one_kernel_point(field):
+    # the value is T_0, the first Taylor coefficient at the form, for monic and
+    # non-monic forms alike on quotients of odd and even degree (the value at
+    # (ay, -ax) differs in sign on odd degrees), and a zero value comes with
+    # the exact quotient
+    p = field.characteristic
+    rng = random.Random(29)
+    divisions = []
+    for ax, ay in [(0, 1), (1, 0), (1, 3), (1, -2), (2, 1), (3, -2)]:
+        line = a, b, _ = _line(LinearForm(field, ax, ay))
+        for degree in range(8):
+            q = [rng.randint(-9, 9) % p if p else rng.randint(-9, 9) for _ in range(degree)]
+            q = tuple(q + [rng.randint(1, 6)])  # a nonzero top: the zero constant has no quotient to multiply back
+            for u in (q, times_linear(q, a, b, p)):
+                divisions.append((u, line, basis._divide(u, line)))
+                assert divisions[-1][2][1] == next(taylor_window(u, a, b, p, 1)), (line, u)
+    zeros = [(u, line, quotient) for u, line, (quotient, value) in divisions if not value]
+    for u, (a, b, p), quotient in zeros:
+        assert quotient is not None and times_linear(quotient, a, b, p) == u, (a, b, u)
+    assert len(zeros) >= 48 and len(divisions) - len(zeros) >= 30
 
 
 def step_inputs(monkeypatch, field, seed, count):
@@ -554,8 +582,8 @@ def test_only_non_monic_steps_evaluate(monkeypatch):
         RATIONALS, {Y: 3, X: 4, XY: 5, LinearForm(RATIONALS, 1, -2): 2, NON_MONIC[0]: 6}
     )
     assert verify_basis(build_basis(arrangement), arrangement)
-    # 2x + y vanishes at (1, -2); each of its 6 steps evaluates once or twice
-    assert 6 <= len(points) <= 12 and set(points) == {(1, -2)}
+    # 2x + y vanishes at its kernel point (-1, 2); each of its 6 steps evaluates once or twice
+    assert 6 <= len(points) <= 12 and set(points) == {(-1, 2)}
 
 
 def refuse_dense_products(monkeypatch, where):

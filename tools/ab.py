@@ -44,6 +44,7 @@ class ExponentsJob:
     """``exponents()`` of one arrangement over Q; the check asks that they split |mu|, larger first."""
 
     def __init__(self, lines):
+        self.label = f"Q:exponents:{sum(m for _, _, m in lines)}"
         self.text = workloads.arrangement_text("Q", [((a, b), m) for a, b, m in lines])
 
     def prepare(self, lv):
@@ -63,6 +64,7 @@ class ChainFpJob:
 
     def __init__(self, total):
         lines = [(form, total // 4) for form in ((0, 1), (1, 0), (1, 1), (1, -1))]
+        self.label = f"F_2147483647:balanced:{total}"
         self.text = workloads.arrangement_text("F 2147483647", lines)
 
     def prepare(self, lv):
@@ -95,7 +97,9 @@ def compare(trees, name, seed, passes, tiny, only):
     """Per-pass time ratios B/A of one job set, after checking every answer once."""
     sides = []
     for lv in trees:
-        jobs = [job for job in job_set(name, seed, tiny) if only in getattr(job, "label", "")]
+        jobs = [job for job in job_set(name, seed, tiny) if only in job.label]
+        if not jobs:
+            raise SystemExit(f"{name}: no job's label contains {only!r}")
         for job in jobs:
             job.prepare(lv)
             problems = job.check(lv, job.solve(lv))
