@@ -10,13 +10,12 @@ Correctness of a claimed pair is decided by Saito's criterion.
 from __future__ import annotations
 
 import enum
-from itertools import accumulate, chain, islice, repeat
 from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
 from .derivation import Derivation, _line, apply, determinant_coefficient, saito_determinant, signed_content
-from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw, pack_residues
-from .poly import reduce_packed, residue_width, taylor_window, times_linear, times_linear_power, unpack_residues
+from .poly import HomogPoly, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed, residue_width
+from .poly import taylor_window, times_linear, times_linear_power, unpack_residues
 
 
 class Branch(enum.Enum):
@@ -189,15 +188,17 @@ def _step(theta1, theta2, line):
     Over Q both members must be primitive integer derivations, like every
     member returned: by Gauss's lemma their products with the primitive form
     stay primitive, with the same sign, so only the generic combination is
-    reduced and every value stays an integer.  Over F_p the image is packed
-    and the generic g1 + q*g2 is one product by q packed.  Every division is
+    reduced and every value stays an integer.  The generic step is the window
+    ramp's (:func:`_window_ramp`): theta1' = s*theta1 + t*beta^d*theta2, which
+    clears the obstruction at alpha's kernel point.  A monic form's quotient
+    is then built from the two carried divisions, and over F_p s = 1 and
+    theta1's packed image gains t times theta2's.  Every division is
     remainder-checked: a violated precondition raises InexactDivisionError
     rather than giving a wrong answer.
     """
     if theta1[2] < theta2[2]:
         theta1, theta2 = theta2, theta1
     ax, ay, p = line
-    px, py = -ay, ax
     d = theta1[2] - theta2[2]
     u1, div1, u2, div2 = theta1[0], theta1[1], theta2[0], theta2[1]
     qg, g_val = div2 = div2 or _divide(u2, line)
@@ -212,41 +213,23 @@ def _step(theta1, theta2, line):
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
         return (qf, None, *theta1[2:]), theta2, Branch.F_VANISHING
 
-    # generic case: clear the obstruction with den*theta1 + q*theta2, for the
-    # q of _plus_q_times, and num/den making (den*f + q*g)(point) = 0
-    if py:  # tail = px^d + px^(d-1)*py + ... + px*py^(d-1): a geometric series, or d*px^d when px = py (x - y)
-        xd, yd, gap = pow(px, d, p or None), pow(py, d, p or None), (px - py) % p if p else px - py
-        tail = (px * (xd - yd) * pow(gap, -1, p) if p else px * (xd - yd) // gap) if gap else d * xd
-        num, den = -f_val - tail * g_val, g_val * yd
-    else:
-        # form is y, kernel point (1, 0)
-        num, den = -f_val, g_val
+    # generic case: s*f_val + t*beta^d*g_val = 0 at the kernel point, where beta (x for y, else y) is 1 for a
+    # monic form and ax at (-ay, ax)
     if p:
-        num, den = num * pow(den, -1, p) % p, 1
+        s, t = 1, -f_val * pow(g_val, -1, p) % p
     else:
-        c = gcd(num, den) if den > 0 else -gcd(num, den)
-        num, den = num // c, den // c
+        if ax > 1:
+            g_val *= ax**d
+        k = gcd(f_val, g_val)
+        s, t = g_val // k, -f_val // k
     if ax > 1:
-        u1 = div_linear_power(_plus_q_times(u1, u2, num, den, ax, p), ax, ay, p, 1)
-    else:
-        # den*f + q*g = form*(den*Qf + q*Qg) + y^deg(g)*(den*f_val*y^d + g_val*q); synthetic division of the
-        # bracket from x^d (each coefficient above y^d is den*g_val) gives den*t_j on x^j y^(d-1-j), t_(d-1) =
-        # g_val and t_(j-1) = g_val - ay*t_j, and leaves den*(f_val - ay*t_0) + num*g_val, which must vanish
-        t = 0
-        if py and d:
-            cs = list(qf)
-            for j in range(d - 1, -1, -1):
-                t = (g_val - ay * t) % p if p else g_val - ay * t
-                cs[j] += t
-            qf = tuple(cs)
-        r = den * (f_val - ay * t) + num * g_val
-        if r % p if p else r:
-            raise InexactDivisionError(f"({ax}*x + {ay}*y) does not divide the generic combination")
-        u1 = _plus_q_times(qf, qg, num, den, ax, p)
-    if p:  # primitive() is the identity over F_p; q as in _plus_q_times, with den = 1
-        q = pack_residues((num,) + (1,) * d if ax else (0,) * d + (num,), p)
-        return (u1, None, theta1[2], reduce_packed(theta1[3] + images[0] * q, p)), theta2, Branch.GENERIC
-    theta1 = (u1, None, theta1[2], *[_plus_q_times(s, t, num, den, ax, p) for s, t in zip(theta1[3:], images)])
+        u1 = div_linear_power(_combine(u1, u2, s, t, ax, p), ax, ay, p, 1)
+    else:  # s*u1 + t*beta^d*u2 = form*(s*Qf + t*beta^d*Qg): the remainders' terms cancel at beta^deg(u1)
+        u1 = _combine(qf, qg, s, t, ax, p)
+    if p:  # beta^d shifts the packed image of theta2 up by d slots for y, and by none for y^d
+        v = images[0] << 8 * residue_width(p) * d if not ax else images[0]
+        return (u1, None, theta1[2], reduce_packed(theta1[3] + v * t, p)), theta2, Branch.GENERIC
+    theta1 = (u1, None, theta1[2], *[_combine(v, w, s, t, ax, p) for v, w in zip(theta1[3:], images)])
     return _primitive(theta1, line), theta2, Branch.GENERIC
 
 
@@ -259,38 +242,16 @@ def _times_form(images, line):
     return [v if not a else v << w if not b else reduce_packed(v * (b % p) + (v << w), p)]
 
 
-def _plus_q_times(B, h, num, den, ax, p):
-    """``den*B + q*h`` on coefficient tuples, for the q of :func:`_step`'s generic branch.
+def _combine(v, w, s, t, ax, p):
+    """``s*v + t*beta^d*w`` on coefficient tuples, d = len(v) - len(w) (reduced mod p over F_p).
 
-    q has degree d = deg B - deg h and is ``num*x^d`` when ``ax`` is 0 (the
-    form is y), else ``num*y^d + den*(x^d + ... + x*y^(d-1))``.  Over F_p,
-    den must be 1.  q is never built: the x^k coefficient of den*B + q*h is
-    den*(B_k + W_k) + num*h_k with the window sum W_k = h_(k-d) + ... +
-    h_(k-1) (den*B_k + num*h_(k-d) for num*x^d), read off prefix sums in
-    O(deg) where a dense product costs O(deg*d).
+    beta^d is y^d, which appends d zeros to w, or x^d for the form y (``ax`` = 0), which prepends them.
     """
-    d = len(B) - len(h)
-    if not ax:
-        # q*h is num*h moved up by d powers of x
-        pairs = zip(B, chain(repeat(0, d), h))
-        if p:
-            return tuple([(b + num * c) % p for b, c in pairs])
-        return tuple([den * b + num * c for b, c in pairs])
-    if d > 1:
-        # W_k = s[min(k, n)] - s[max(k - d, 0)] over the prefix sums s of h
-        s = list(accumulate(h, initial=0))
-        n = len(h)
-        hi = chain(s, repeat(s[n], d - 1))
-        lo = chain(repeat(0, d), islice(s, n))
-        quads = zip(B, hi, lo, chain(h, repeat(0, d)))
-        if p:
-            return tuple([(b + u - v + num * c) % p for b, u, v, c in quads])
-        return tuple([den * (b + u - v) + num * c for b, u, v, c in quads])
-    # W_k is h_(k-1) when d is 1 and empty when d is 0: no prefix sums
-    triples = zip(B, chain((0,), h) if d else repeat(0), chain(h, repeat(0, d)))
+    pad = (0,) * (len(v) - len(w))
+    pairs = zip(v, w + pad if ax else pad + w)
     if p:
-        return tuple([(b + w + num * c) % p for b, w, c in triples])
-    return tuple([den * (b + w) + num * c for b, w, c in triples])
+        return tuple([(s * a + t * b) % p for a, b in pairs])
+    return tuple([s * a + t * b for a, b in pairs])
 
 
 def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
@@ -334,10 +295,9 @@ def _window_ramp(theta1, theta2, d1, d2, p, k=0):
     """A ramp on Taylor windows (:func:`poly.taylor_window`): ``(d1, d2, theta1, theta2)`` after each of n steps.
 
     A member of degree d is k carried entries, Taylor coefficients at alpha' in a frame (alpha', beta')
-    with beta = alpha' + beta', then theta(alpha)'s first n.  Degrees are invariants of D(A, mu), so any
-    q clearing the obstruction will do: branching as :func:`_step` does, the generic step takes
-    theta1' = t2*theta1 - t1*beta^d*theta2 (t_i the T_0s), whose window at alpha is t2*w1 - t1*w2, and
-    drops its T_0: O(n + k), no polynomial.
+    with beta = alpha' + beta', then theta(alpha)'s first n.  It branches as :func:`_step` does, and its
+    generic step is :func:`_step`'s, theta1' = s*theta1 + t*beta^d*theta2 with (s, t) = (t2, -t1), the
+    T_0s: its window at alpha is t2*w1 - t1*w2, whose T_0 is dropped.  O(n + k), no polynomial.
     """
     for _ in range(len(theta1) - k):
         if d1 < d2:

@@ -33,12 +33,12 @@ ORACLE_TOTAL_LIMIT = 40
 ORACLE_FP_TOTAL_LIMIT = 128
 # ``basis``, ``trace`` and ``exponents`` run the chain, quadratic in |mu|
 # and slower still over Q as coefficients grow.  On one shared core (Python
-# 3.11.7) ``basis`` takes 11.5 s at |mu| = 500 on the lines y, x, x + y,
-# x - y, 2x + y (32 s for ``build_basis`` at 600), nearly all of it in
+# 3.11.7) ``basis`` takes 6.0 s at |mu| = 500 on the lines y, x, x + y,
+# x - y, 2x + y (16.7 s for ``build_basis`` at 600), nearly all of it in
 # arithmetic on coefficients of thousands of bits; lines of larger height
 # take longer at the same |mu|.
 CHAIN_TOTAL_LIMIT = 500
-# ``frobenius`` takes 5.8 s at |mu| = 4094 (p = 4093, i = 0).
+# ``frobenius`` takes 2.3 s at |mu| = 4094 (p = 4093, i = 0; one shared core, Python 3.11.7).
 FROBENIUS_TOTAL_LIMIT = 4096
 # ``verify`` reads the Saito determinant one coefficient at a time up to the first nonzero one:
 # at degree D = 4096, 0.2 s for a dense independent pair and O(D1*D2), 2.5 s, for a dependent

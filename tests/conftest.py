@@ -15,9 +15,9 @@ from logvf import (
     all_hyperplanes,
     build_basis,
 )
-from logvf.basis import Branch, _line, _plus_q_times
+from logvf.basis import Branch, _line
 from logvf.derivation import apply, primitive
-from logvf.poly import InexactDivisionError, div_linear, div_linear_power, eval_raw, times_linear
+from logvf.poly import div_linear_power, eval_raw, times_linear
 
 FIELDS = [RATIONALS, Field(2), Field(3), Field(5), Field(7)]
 PRIME_FIELDS = FIELDS[1:]
@@ -132,6 +132,18 @@ def dense_determinant(theta1, theta2):
 # ----------------------------------------------------------------------
 
 
+def beta_power(line, d):
+    """The coefficient tuple of beta^d, with beta = x for the form y and y for any other form."""
+    return (1,) + (0,) * d if line[0] else (0,) * d + (1,)
+
+
+def plus_beta_power(v, w, s, t, line):
+    """``s*v + t*beta^d*w`` for coefficient tuples, d = deg v - deg w, through :func:`dense_product`."""
+    p = line[2]
+    product = dense_product(beta_power(line, len(v) - len(w)), w, p)
+    return tuple((s * a + t * b) % p if p else s * a + t * b for a, b in zip(v, product))
+
+
 def reference_step(theta1, theta2, line, f_quot, g_quot):
     """One multiplicity-raising update on ``(f, g)`` members: the reference for ``basis._step``.
 
@@ -152,13 +164,13 @@ def reference_step(theta1, theta2, line, f_quot, g_quot):
         f_quot, g_quot = g_quot, f_quot
     (f1, g1), (f2, g2) = theta1, theta2
     a, b, p = line
-    branch, f_quot, g_quot, num, den = reference_advance(f_quot, g_quot, line, len(f1) - len(f2))
+    branch, f_quot, g_quot, s, t = reference_advance(f_quot, g_quot, line, len(f1) - len(f2))
     if branch is Branch.G_VANISHING:
         return (times_linear(f1, a, b, p), times_linear(g1, a, b, p)), theta2, branch, f_quot, g_quot
     theta2 = (times_linear(f2, a, b, p), times_linear(g2, a, b, p))
     if branch is Branch.F_VANISHING:
         return theta1, theta2, branch, f_quot, g_quot
-    f1, g1 = _plus_q_times(f1, f2, num, den, a, p), _plus_q_times(g1, g2, num, den, a, p)
+    f1, g1 = plus_beta_power(f1, f2, s, t, line), plus_beta_power(g1, g2, s, t, line)
     if not p:  # primitive() is the identity over F_p
         f1, g1, k = primitive(f1, g1)
         if k != 1:
@@ -168,75 +180,34 @@ def reference_step(theta1, theta2, line, f_quot, g_quot):
 
 
 def reference_advance(f_quot, g_quot, line, d):
-    """:func:`reference_step` on the quotients alone: ``(branch, f', g', num, den)``.
+    """:func:`reference_step` on the quotients alone: ``(branch, f', g', s, t)``.
 
     The quotients belong to a pair whose degrees differ by ``d`` >= 0,
-    larger first.  A generic f' is (den*f + q*g) / form, not yet reduced;
-    num and den, which fix q, are None in the other branches.
-
-    A monic form (every form over F_p; y and x + c*y over Q) divides each
-    quotient once and branches on the remainder r: h = form*Q + r*y^deg is
-    (-1)^deg * r at the kernel point (h = y*Q + r*x^deg is r for y).  A
-    generic step reuses both divisions, since den*f + q*g equals
-    form*(den*Qf + q*Qg) + y^deg(g) * (den*rf*y^d + rg*q): it adds the
-    bracket's exact quotient by the form to the first d coefficients.  A
-    non-monic form over Q evaluates first: dividing by it can leave Z.
+    larger first.  Both are evaluated at the kernel point P = (-ay, ax) and
+    divided by the form only where their value is 0.  A generic step takes
+    theta1' = s*theta1 + t*beta^d*theta2 with s*f(P) + t*beta(P)^d*g(P) = 0:
+    s = 1 over F_p, (s, t) coprime over Q.  Its f' is that combination of
+    the quotients divided by the form, not yet reduced; s and t are None in
+    the other branches.
     """
     ax, ay, p = line
-    px, py = ay, -ax % p if p else -ax
-    monic = ax < 2
-    qg, g_val = div_linear(g_quot, ax, ay, p) if monic else (None, eval_raw(g_quot, px, py, p))
-
+    px, py = -ay % p if p else -ay, ax
+    g_val = eval_raw(g_quot, px, py, p)
     if not g_val:
         # form^(mult+1) already divides theta2(form): multiply theta1 instead
-        g_quot = qg if monic else div_linear_power(g_quot, ax, ay, p, 1)
-        return Branch.G_VANISHING, f_quot, g_quot, None, None
-
-    qf, f_val = div_linear(f_quot, ax, ay, p) if monic else (None, eval_raw(f_quot, px, py, p))
-
+        return Branch.G_VANISHING, f_quot, div_linear_power(g_quot, ax, ay, p, 1), None, None
+    f_val = eval_raw(f_quot, px, py, p)
     if not f_val:
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
-        f_quot = qf if monic else div_linear_power(f_quot, ax, ay, p, 1)
-        return Branch.F_VANISHING, f_quot, g_quot, None, None
-
-    # generic case: clear the obstruction with den*theta1 + q*theta2, for the
-    # q of _plus_q_times, and num/den making (den*f + q*g)(point) = 0
-    rf, rg = f_val, g_val
-    if monic and py and d % 2:
-        f_val = -f_val  # the values are (-1)^deg times these; only the ratio counts
-    if py:
-        tail, power = 0, 1
-        for _ in range(d):
-            power = power * px % p if p else power * px
-            tail = (tail * py + power) % p if p else tail * py + power
-        num, den = -f_val - tail * g_val, g_val * pow(py, d, p or None)
-    else:
-        # form is y, kernel point (1, 0)
-        num, den = -f_val, g_val
+        return Branch.F_VANISHING, div_linear_power(f_quot, ax, ay, p, 1), g_quot, None, None
+    g_val *= pow(py if ax else px, d, p or None)  # beta(P)^d
     if p:
-        num, den = num * pow(den, -1, p) % p, 1
+        s, t = 1, -f_val * pow(g_val, -1, p) % p
     else:
-        c = gcd(num, den) if den > 0 else -gcd(num, den)
-        num, den = num // c, den // c
-    if not monic:
-        f_quot = div_linear_power(_plus_q_times(f_quot, g_quot, num, den, ax, p), ax, ay, p, 1)
-        return Branch.GENERIC, f_quot, g_quot, num, den
-
-    # synthetic division of the bracket from x^d (each coefficient above y^d
-    # is den*rg) gives den*t_j on x^j y^(d-1-j), t_(d-1) = rg and t_(j-1) =
-    # rg - ay*t_j, and leaves den*(rf - ay*t_0) + num*rg, which must vanish
-    t = 0
-    if py and d:
-        cs = list(qf)
-        for j in range(d - 1, -1, -1):
-            t = (rg - ay * t) % p if p else rg - ay * t
-            cs[j] += t
-        qf = tuple(cs)
-    r = den * (rf - ay * t) + num * rg
-    if r % p if p else r:
-        raise InexactDivisionError(f"({ax}*x + {ay}*y) does not divide the generic combination")
-    f_quot = _plus_q_times(qf, qg, num, den, ax, p)
-    return Branch.GENERIC, f_quot, g_quot, num, den
+        k = gcd(f_val, g_val)
+        s, t = g_val // k, -f_val // k
+    f_quot = div_linear_power(plus_beta_power(f_quot, g_quot, s, t, line), ax, ay, p, 1)
+    return Branch.GENERIC, f_quot, g_quot, s, t
 
 
 def reference_ramp(theta1, theta2, line, upto):

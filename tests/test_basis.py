@@ -1,12 +1,10 @@
 """The update step, the full chain construction, and Saito verification."""
 
-import math
 import random
 from itertools import chain
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from logvf import (
     BasisPair,
@@ -24,12 +22,12 @@ from logvf import (
     update_basis,
     verify_basis,
 )
-from logvf import basis
-from logvf.basis import _into_frame, _line, _out_of_frame, _plus_q_times, _ramp, _ramp_degrees, _step, _window_ramp
+from logvf import basis, exponents_by_oracle, trace_chain
+from logvf.basis import _into_frame, _line, _out_of_frame, _ramp, _ramp_degrees, _step, _window_ramp
 from logvf.derivation import apply, primitive
 from logvf.poly import div_linear, div_linear_power, eval_raw, taylor_window, times_linear, unpack_residues
 
-from conftest import dense_determinant, dense_product, sample_arrangements
+from conftest import dense_determinant, dense_product, plus_beta_power, reference_advance, sample_arrangements
 
 
 def x_dx(field=RATIONALS):
@@ -256,55 +254,21 @@ def test_prime_field_chain():
     assert sum(pair.degrees()) == 8
 
 
-FIELDS_FOR_KERNEL = [RATIONALS, Field(7), Field(2**31 - 1)]
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    field=st.sampled_from(FIELDS_FOR_KERNEL),
-    d=st.integers(0, 12),
-    small=st.lists(st.integers(-50, 50), min_size=1, max_size=9),
-    big_seed=st.lists(st.integers(-50, 50), min_size=21, max_size=21),
-    num=st.integers(-10**6, 10**6),
-    den=st.integers(1, 10**6),
-    ax=st.sampled_from([0, 1, 3]),  # 0: the form is y
-)
-def test_window_sum_combination_matches_dense_product(field, d, small, big_seed, num, den, ax):
-    # den*big + q*small with q built densely and multiplied by a plain double loop
-    p = field.characteristic
-    if p:
-        num, den = num % p, 1
-    small = HomogPoly(field, small).coeffs
-    big = HomogPoly(field, big_seed[: len(small) + d]).coeffs
-    q_coeffs = (num,) + (den,) * d if ax else (0,) * d + (num,)
-    product = dense_product(q_coeffs, small, p)
-    reference = tuple((den * s + t) % p if p else den * s + t for s, t in zip(big, product))
-    out = _plus_q_times(big, small, num, den, ax, p)
-    assert len(out) == len(big)
-    assert out == reference
-
-
 def _generic_reference(theta1, theta2, form, mult):
-    """den*theta1 + q*theta2 of a generic step on ``(f, g)`` members, num/den solved for from point values."""
-    a, b, p = form.ax, form.ay, form.field.characteristic
+    """theta1' = s*theta1 + t*beta^d*theta2 of a generic step on ``(f, g)`` members, s and t solved for at (ay, -ax)."""
+    a, b, p = line = _line(form)
     px, py = form.point_raw()
     f_val, g_val = (
         eval_raw(div_linear_power(apply(f, g, a, b, p), a, b, p, mult), px, py, p) for f, g in (theta1, theta2)
     )
     d = len(theta1[0]) - len(theta2[0])
-    # (den*f + q*g)(point) = 0 with q(point) = num*py^d + den*tail, or num*px^d
-    tail = sum(px**j * py ** (d - j) for j in range(1, d + 1)) if py else 0
-    top, bottom = -(f_val + tail * g_val), g_val * (py**d if py else px**d)
+    # s*f_val + t*beta(point)^d*g_val = 0, beta = y, or x for the form y
+    ratio = Fraction(-f_val, g_val * (py if a else px) ** d)
     if p:
-        num, den = top * pow(bottom, -1, p) % p, 1
+        s, t = 1, ratio.numerator * pow(ratio.denominator, -1, p) % p
     else:
-        ratio = Fraction(top, bottom)
-        num, den = ratio.numerator, ratio.denominator
-    q_coeffs = (num,) + (den,) * d if py else (0,) * d + (num,)
-    f, g = (
-        tuple((den * s + t) % p if p else den * s + t for s, t in zip(c1, dense_product(q_coeffs, c2, p)))
-        for c1, c2 in zip(theta1, theta2)
-    )
+        s, t = ratio.denominator, ratio.numerator
+    f, g = (plus_beta_power(c1, c2, s, t, line) for c1, c2 in zip(theta1, theta2))
     return (f, g) if p else primitive(f, g)[:2]
 
 
@@ -409,41 +373,58 @@ def test_exponents_equal_basis_degrees():
         assert exponents(arrangement) == build_basis(arrangement).degrees(), arrangement
 
 
+ORACLE_FIELDS = [RATIONALS, Field(7), Field(2**31 - 1)]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_every_step_lands_on_the_oracle_exponents(field):
+    # a basis is not unique, its degrees are: after every step of a chain
+    # they are the exponents of the arrangement built so far, |mu| <= 16
+    rng = random.Random(41)
+    pool = small_forms(field)
+    branches = []
+    for _ in range(10):
+        forms = rng.sample(pool, rng.randint(2, 5))
+        if field == RATIONALS:
+            forms = list(dict.fromkeys(NON_MONIC + forms))
+        mult = {form: 1 for form in forms}
+        for _ in range(rng.randint(0, 16 - len(forms))):
+            mult[rng.choice(forms)] += 1
+        prefix = {}
+        for t in trace_chain(Multiarrangement(field, mult))[1]:
+            prefix[t.form] = t.multiplicity + 1
+            assert t.degrees_after == exponents_by_oracle(Multiarrangement(field, prefix)), (mult, t)
+            branches.append((t.branch, t.form.ax > 1))
+    assert sum(branch is Branch.GENERIC for branch, _ in branches) >= 40
+    assert field != RATIONALS or branches.count((Branch.GENERIC, True)) >= 20
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_generic_updates_on_y_land_on_the_oracle_exponents(field):
+    # a chain takes no generic step on y, which it ramps first; update_basis does
+    rng = random.Random(43)
+    y = LinearForm(field, 0, 1)
+    pool = [form for form in small_forms(field) if form != y]
+    generic = 0
+    for _ in range(12):
+        forms = rng.sample(pool, rng.randint(1, 4))
+        mult = {form: rng.randint(1, 4) for form in forms}
+        if rng.random() < 0.5:
+            mult[y] = rng.randint(1, 3)
+        arrangement = Multiarrangement(field, mult)
+        pair = build_basis(arrangement)
+        m = arrangement.multiplicity(y)
+        *_, branch = step(*map(member, pair), y, m)
+        out = update_basis(pair, y, m)
+        bigger = arrangement.incremented(y)
+        assert out.degrees() == exponents_by_oracle(bigger) and verify_basis(out, bigger), (mult, m)
+        generic += branch is Branch.GENERIC
+    assert generic >= 3
+
+
 # ----------------------------------------------------------------------
 # one division per quotient per step
 # ----------------------------------------------------------------------
-
-
-def _advance_by_evaluation(f_quot, g_quot, line, d):
-    """The step on quotients as it was before it branched on remainders: ``(branch, f', g', num, den)``.
-
-    Evaluate at the kernel point, divide on a vanishing branch, and divide
-    the whole generic combination again: the reference for the quotients of
-    basis._step.
-    """
-    ax, ay, p = line
-    px, py = ay, -ax % p if p else -ax
-    g_val = eval_raw(g_quot, px, py, p)
-    if not g_val:
-        return Branch.G_VANISHING, f_quot, div_linear_power(g_quot, ax, ay, p, 1), None, None
-    f_val = eval_raw(f_quot, px, py, p)
-    if not f_val:
-        return Branch.F_VANISHING, div_linear_power(f_quot, ax, ay, p, 1), g_quot, None, None
-    if py:
-        tail, power = 0, 1
-        for _ in range(d):
-            power = power * px % p if p else power * px
-            tail = (tail * py + power) % p if p else tail * py + power
-        num, den = -f_val - tail * g_val, g_val * pow(py, d, p or None)
-    else:
-        num, den = -f_val, g_val
-    if p:
-        num, den = num * pow(den, -1, p) % p, 1
-    else:
-        c = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-        num, den = num // c, den // c
-    f_quot = div_linear_power(_plus_q_times(f_quot, g_quot, num, den, ax, p), ax, ay, p, 1)
-    return Branch.GENERIC, f_quot, g_quot, num, den
 
 
 def _division(quot, line):
@@ -510,11 +491,11 @@ def step_inputs(monkeypatch, field, seed, count):
     return seen
 
 
-def _generic_images(theta1, theta2, num, den, line):
-    """theta1's images after a generic step, den*theta1 + q*theta2 for the q of num and den, as tuples."""
+def _generic_images(theta1, theta2, s, t, line):
+    """theta1's images after a generic step, s*theta1 + t*beta^d*theta2, as tuples."""
     p = line[2]
     images = [[unpack_residues(v, m[2] + 1, p) if p else v for v in m[3:]] for m in (theta1, theta2)]
-    return [_plus_q_times(s, t, num, den, line[0], p) for s, t in zip(*images)]
+    return [plus_beta_power(v, w, s, t, line) for v, w in zip(*images)]
 
 
 @pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)
@@ -524,11 +505,11 @@ def test_advance_matches_evaluate_then_divide(monkeypatch, field):
     for theta1, theta2, line in step_inputs(monkeypatch, field, seed=17, count=12):
         p, d = line[2], theta1[2] - theta2[2]
         new1, new2, branch = basis._step(theta1, theta2, line)
-        old = _advance_by_evaluation(theta1[0], theta2[0], line, d)
+        old = reference_advance(theta1[0], theta2[0], line, d)
         assert branch is old[0], (line, d)
         assert new2[0] == old[2], (line, d)
         if branch is Branch.GENERIC:
-            # num and den fix theta1's images too; over Q the quotient and the
+            # s and t fix theta1's images too; over Q the quotient and the
             # images share the content that _primitive divides out
             expected = [old[1], *_generic_images(theta1, theta2, *old[3:], line)]
             got = [new1[0], *(unpack_residues(v, new1[2] + 1, p) if p else v for v in new1[3:])]

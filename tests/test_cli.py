@@ -341,7 +341,7 @@ def test_trace_command(tmp_path, capsys):
 GOLDEN_ARRANGEMENT = "field Q\n2 1 3\n3 -2 2\n1/2 1/3 2\n0 1 3\n"
 
 GOLDEN_BASIS = """\
-theta1 (degree 5): (-20196*x^5 - 20430*x^4*y + 18225*x^3*y^2 + 26385*x^2*y^3 + 6940*x*y^4 - 380*y^5) dx + (12705*x^2*y^3 + 16450*x*y^4 + 5404*y^5) dy
+theta1 (degree 5): (-4752*x^5 - 4896*x^4*y + 4392*x^3*y^2 + 6375*x^2*y^3 + 1712*x*y^4 - 68*y^5) dx + (3234*x^2*y^3 + 4046*x*y^4 + 1288*y^5) dy
 theta2 (degree 5): (-540*x^5 - 522*x^4*y + 459*x^3*y^2 + 660*x^2*y^3 + 164*x*y^4 - 16*y^5) dx + (273*x^2*y^3 + 392*x*y^4 + 140*y^5) dy
 exponents: {5, 5}
 """
@@ -351,7 +351,7 @@ step 1: form y, multiplicity 0 -> 1, branch f-vanishing, degrees (0, 0) -> (1, 0
 step 2: form y, multiplicity 1 -> 2, branch g-vanishing, degrees (1, 0) -> (2, 0), diff 1 -> 2
 step 3: form y, multiplicity 2 -> 3, branch g-vanishing, degrees (2, 0) -> (3, 0), diff 2 -> 3
 step 4: form x - 2/3*y, multiplicity 0 -> 1, branch generic, degrees (3, 0) -> (3, 1), diff 3 -> 2
-step 5: form x - 2/3*y, multiplicity 1 -> 2, branch generic, degrees (3, 1) -> (3, 2), diff 2 -> 1
+step 5: form x - 2/3*y, multiplicity 1 -> 2, branch f-vanishing, degrees (3, 1) -> (3, 2), diff 2 -> 1
 step 6: form x + 1/2*y, multiplicity 0 -> 1, branch generic, degrees (3, 2) -> (3, 3), diff 1 -> 0
 step 7: form x + 1/2*y, multiplicity 1 -> 2, branch generic, degrees (3, 3) -> (4, 3), diff 0 -> 1
 step 8: form x + 1/2*y, multiplicity 2 -> 3, branch generic, degrees (4, 3) -> (4, 4), diff 1 -> 0

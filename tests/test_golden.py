@@ -1,12 +1,17 @@
 """Golden differential test: bases, traces, exponents and the sweep CSV, byte for byte.
 
-The SHA-256 digests below were computed by the object-level chain, before
-it ran on plain coefficient tuples.  Each field gets seeded arrangements up
-to |mu| = 160 (over Q the non-monic lines 2x + y and 3x - 2y are always
-present), so any change in a basis, a trace line or an exponent pair, at
-sizes far past the oracle's |mu| <= 12, shows up as a changed digest.
-The Frobenius digest was computed while ``frobenius_basis`` still multiplied
-its member by each shifted form through ``Derivation.times_linear``.
+Each field gets seeded arrangements up to |mu| = 160 (over Q the non-monic
+lines 2x + y and 3x - 2y are always present), so any change in a basis, a
+trace line or an exponent pair, at sizes far past the oracle's |mu| <= 12,
+shows up as a changed digest.  ``GOLDEN`` pins the bases of the generic step
+theta1' = s*theta1 + t*beta^d*theta2; every one of them passed
+``verify_basis`` before it was pinned.  A basis is not unique, so that step
+changed them and some branch labels.  ``INVARIANTS`` pins what it could not
+change, every step's degrees and the exponents; it was computed by the
+earlier generic step, whose q was num*y^d + den*(x^d + ... + x*y^(d-1)), and
+holds for both.  The Frobenius digest was computed while ``frobenius_basis``
+still multiplied its member by each shifted form through
+``Derivation.times_linear``.
 """
 
 import hashlib
@@ -31,13 +36,15 @@ TOTALS = (3, 8, 12, 17, 29, 40, 64, 80, 120, 160)
 NON_MONIC = ((2, 1), (3, -2))
 
 GOLDEN = {
-    "Q": "a14b053d38b6b05742166e510d8f87e862bac0b6b5b63d2021a657000007b47a",
-    "F_2147483647": "790f740a218384da15481897132bea4862da2ab559e345a303d9bbbfb8200a6a",
-    "F_101": "be8fec71d88464da11c859aa445c24f5190ecb8d7da81c8a906076ff0c6c1173",
-    "F_7": "9f3628710a8ac99465b9c685f12412bc2b5011084995791d719a3e78a068c457",
+    "Q": "62a0dc3bc4a25c5c08d6ffad46bfcd8912d388e2aadb8dd1f7dd2de193243f21",
+    "F_2147483647": "08f37c12f0c47f0841cab0abba4b67185151d9d2d5eaf85513c6512729a6be04",
+    "F_101": "b528f8a35f25d16851079088db0f5fc23d4dc2184392e4a8df2af1f3a2c1b06a",
+    "F_7": "0d45d7148897d7967517dbf9be5fdf6640320f5e1450c4b1156436a2d94bfb7f",
 }
 SWEEP_20_23 = "e30d332bf2e7a0e5a0b9b5aeb4aa626e8273a2ba0f93dae9554790317e57c211"
 FROBENIUS = "8c4dedf2b1275b6203c2f19b0f9da7fce26aeef3d25c3476859022e29173a89b"
+# what no choice of basis can change: every step's degrees and the exponents, over all four fields
+INVARIANTS = "2379ae4b7a294b66e3d2a13c1f5fae99605c55b6158fb0a43d4a1f316f790aca"
 
 
 def golden_arrangements(field, seed=1):
@@ -71,6 +78,18 @@ def golden_text(field):
     return "\n".join(lines) + "\n"
 
 
+def invariant_text():
+    """The part of :func:`golden_text` that is an invariant of D(A, mu): step degrees and exponents, no branch."""
+    lines = []
+    for p in (0, 2**31 - 1, 101, 7):
+        for arrangement in golden_arrangements(Field(p)):
+            lines.append(repr(arrangement))
+            for t in trace_chain(arrangement)[1]:
+                lines.append(f"{t.index} {t.form} {t.multiplicity} {t.degrees_before} {t.degrees_after}")
+            lines.append(str(exponents(arrangement)))
+    return "\n".join(lines) + "\n"
+
+
 def frobenius_text(seed=1):
     """Seeded shifted Frobenius families for p in {2, 3, 5, 7} and i in {0, 1}, one basis per line pair."""
     rng = random.Random(seed)
@@ -95,6 +114,10 @@ def digest(text):
 def test_chain_outputs_are_unchanged(p):
     field = Field(p)
     assert digest(golden_text(field)) == GOLDEN[str(field)]
+
+
+def test_step_degrees_and_exponents_are_unchanged():
+    assert digest(invariant_text()) == INVARIANTS
 
 
 @pytest.mark.parametrize("p", [0, 7])

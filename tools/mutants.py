@@ -68,7 +68,15 @@ MUTANTS = (
         "pass",
         "tests/test_derivation.py",
     ),
-    ("the kernel point's sign in _step", BASIS, "px, py = -ay, ax", "px, py = ay, -ax", "tests/test_basis.py"),
+    (
+        "the generic step's t without its minus sign over F_p",
+        BASIS,
+        "s, t = 1, -f_val * pow(g_val, -1, p) % p",
+        "s, t = 1, f_val * pow(g_val, -1, p) % p",
+        "tests/test_basis.py",
+    ),
+    ("beta^d's zeros on the wrong end", BASIS, "zip(v, w + pad if ax else pad + w)", "zip(v, pad + w if ax else w + pad)", "tests/test_basis.py"),
+    ("the non-monic ax^d dropped", BASIS, "g_val *= ax**d", "g_val *= 1", "tests/test_basis.py"),
     (
         "a g-vanishing step leaves theta2 its stale div",
         BASIS,
