@@ -376,7 +376,7 @@ def proposition_experiment(lo: int = 20, hi: int = 30) -> PropositionReport:
             return
         for mult, (new1, new2, _) in enumerate(_ramp(theta1, theta2, line, top), start=1):
             if prefix + (mult,) in upto:
-                walk(_out_of_frame(new1, line), _out_of_frame(new2, line), prefix + (mult,))
+                walk(_out_of_frame(new1, line, mult), _out_of_frame(new2, line, mult), prefix + (mult,))
 
     walk(((1,), (0,)), ((0,), (1,)), ())
     rows = []

@@ -14,8 +14,8 @@ from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
 from .derivation import Derivation, _line, apply, determinant_coefficient, saito_determinant, signed_content
-from .poly import HomogPoly, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed, residue_width
-from .poly import taylor_window, times_linear, times_linear_power, unpack_residues
+from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed
+from .poly import residue_width, taylor_window, times_linear, times_linear_power, unpack_residues
 
 
 class Branch(enum.Enum):
@@ -109,34 +109,47 @@ def _pair(field, theta1, theta2) -> BasisPair:
     return BasisPair(Derivation(*polys[:2]), Derivation(*polys[2:]))
 
 
-def _into_frame(theta, line):
+def _windowed(line, top):
+    """Whether a ramp to degree ``top`` carries windows (:func:`_into_frame`): over F_p, top < p (p = 0 over Q)."""
+    return top < line[2]
+
+
+def _into_frame(theta, line, window):
     """An ``(f, g)`` member as the ramp of a form alpha carries it: ``(theta(alpha), div, degree, theta(beta))``.
 
     beta is y for x + c*y (c = 0 for x) and x for y, so det(alpha, beta) = +-1.
     A non-monic form (over Q) has no such partner among x and y: its member
     carries f and g themselves, ``(theta(alpha), div, degree, f, g)``.  Over F_p
-    theta(beta) is packed into one int (:func:`poly.residue_width`).  ``div``
-    is None: the quotient's :func:`_divide` is made by the first step that needs it.
+    theta(beta) is packed into one int (:func:`poly.residue_width`), and with ``window``
+    so is theta(alpha), as its Taylor window T_0 .. T_D at alpha (:func:`poly.taylor_window`
+    in (alpha, beta), below p its product route).  ``div`` is None: the quotient's
+    :func:`_divide` is made by the first step that needs it.
     """
     f, g = theta
     a, b, p = line
     if a > 1:
         return apply(f, g, a, b, p), None, len(f) - 1, f, g
     u, v = (g, f) if not a else (apply(f, g, a, b, p), g)
+    if window:
+        u = pack_residues(list(taylor_window(u, a, b, p, len(u))), p)
     return u, None, len(f) - 1, pack_residues(v, p) if p else v
 
 
-def _out_of_frame(member, line):
+def _out_of_frame(member, line, k):
     """The ``(f, g)`` of a member ``(theta(alpha)/alpha^k, div, degree, theta(beta))`` in the frame of ``line``.
 
-    A non-monic form's member carries ``(f, g)`` as they are.
+    A window gets its k zero slots T_0 .. T_(k-1) back, and the Taylor shift at (a, -b) (a reversal
+    for y) undoes the one into the frame.  A non-monic form's member carries ``(f, g)`` as they are.
     """
     u, _, degree, *images = member
     a, b, p = line
     if a > 1:
         return tuple(images)
     v = unpack_residues(images[0], degree + 1, p) if p else images[0]
-    h = times_linear_power(u, a, b, p, degree + 1 - len(u))  # theta(alpha)
+    if type(u) is int:  # theta(alpha)
+        h = tuple(taylor_window(unpack_residues(u << 8 * residue_width(p) * k, degree + 1, p), a, -b, p, degree + 1))
+    else:
+        h = times_linear_power(u, a, b, p, degree + 1 - len(u))
     if not a:
         return v, h
     f = [(s - b * t) % p for s, t in zip(h, v)] if p else [s - b * t for s, t in zip(h, v)]  # theta(alpha) - b*g
@@ -163,11 +176,15 @@ def _primitive(member, line):
 def _divide(u, line):
     """A quotient's division by the form: ``(quotient, value)``, the value at the kernel point (-ay, ax).
 
-    A monic form (every form over F_p; y and x + c*y over Q) divides once: h = form*Q + r*y^deg is r
+    A window (:func:`_into_frame`) holds T_k, T_(k+1), ...: slot 0 is the value, the rest the quotient's
+    window.  A monic form (every form over F_p; y and x + c*y over Q) divides once: h = form*Q + r*y^deg is r
     at (-c, 1), and h = y*Q + r*x^deg is r at (1, 0), the point taken for y.  A non-monic form over Q,
     by which dividing can leave Z, divides only where its value is 0; elsewhere the quotient is None.
     """
     a, b, p = line
+    if type(u) is int:
+        w = 8 * residue_width(p)
+        return u >> w, u & ((1 << w) - 1)
     if a < 2:
         return div_linear(u, a, b, p)
     value = eval_raw(u, -b, a, p)
@@ -191,10 +208,10 @@ def _step(theta1, theta2, line):
     reduced and every value stays an integer.  The generic step is the window
     ramp's (:func:`_window_ramp`): theta1' = s*theta1 + t*beta^d*theta2, which
     clears the obstruction at alpha's kernel point.  A monic form's quotient
-    is then built from the two carried divisions, and over F_p s = 1 and
-    theta1's packed image gains t times theta2's.  Every division is
-    remainder-checked: a violated precondition raises InexactDivisionError
-    rather than giving a wrong answer.
+    is then built from the two carried divisions, or from the two windows,
+    whose slot 0 it checks and drops; over F_p s = 1 and theta1's packed
+    image gains t times theta2's.  Every division is remainder-checked: a
+    violated precondition raises InexactDivisionError, not a wrong answer.
     """
     if theta1[2] < theta2[2]:
         theta1, theta2 = theta2, theta1
@@ -224,6 +241,11 @@ def _step(theta1, theta2, line):
         s, t = g_val // k, -f_val // k
     if ax > 1:
         u1 = div_linear_power(_combine(u1, u2, s, t, ax, p), ax, ay, p, 1)
+    elif type(u1) is int:  # windows: beta^d only pads top slots, and slot 0 of u1 + t*u2 must be 0
+        low = (1 << 8 * residue_width(p)) - 1
+        if ((u1 & low) + t * (u2 & low)) % p:
+            raise InexactDivisionError("the generic combination leaves a remainder at the kernel point")
+        u1 = reduce_packed(qf + t * qg, p)
     else:  # s*u1 + t*beta^d*u2 = form*(s*Qf + t*beta^d*Qg): the remainders' terms cancel at beta^deg(u1)
         u1 = _combine(qf, qg, s, t, ax, p)
     if p:  # beta^d shifts the packed image of theta2 up by d slots for y, and by none for y^d
@@ -268,13 +290,19 @@ def update_basis(pair: BasisPair, form: LinearForm, mult: int) -> BasisPair:
         raise ValueError("form and pair live over different fields")
     if mult < 0:
         raise ValueError("multiplicity must be nonnegative")
-    a, b, p = line = _line(form)
+    line = _line(form)
+    thetas = [(theta.f.coeffs, theta.g.coeffs) for theta in (theta.primitive()[0] for theta in pair)]
+    window = _windowed(line, max(len(f) for f, _ in thetas))
     members = []
-    for theta in (theta.primitive()[0] for theta in pair):
-        u, *rest = _into_frame((theta.f.coeffs, theta.g.coeffs), line)
-        members.append((div_linear_power(u, a, b, p, mult), *rest))
+    for theta in thetas:
+        u, *rest = _into_frame(theta, line, window)
+        for _ in range(mult):
+            u, value = _divide(u, line)
+            if value:
+                raise InexactDivisionError(f"({form})^{mult} does not divide theta({form})")
+        members.append((u, *rest))
     theta1, theta2, _ = _step(*members, line)
-    return _pair(pair.field, *(_out_of_frame(theta, line) for theta in (theta1, theta2)))
+    return _pair(pair.field, *(_out_of_frame(theta, line, mult + 1) for theta in (theta1, theta2)))
 
 
 def _ramp(theta1, theta2, line, upto):
@@ -283,9 +311,11 @@ def _ramp(theta1, theta2, line, upto):
     (theta1, theta2) must be ``(f, g)`` members of a basis of an arrangement
     without it.  Yields ``(theta1', theta2', branch)``, the k-th pair a basis
     at multiplicity k in the frame of :func:`_into_frame`, whose ``(f, g)``
-    :func:`_out_of_frame` rebuilds; each member carries its division on.
+    :func:`_out_of_frame` rebuilds; each member carries its division on, and
+    its window when the ramp ends below degree p (:func:`_windowed`).
     """
-    theta1, theta2 = _into_frame(theta1, line), _into_frame(theta2, line)
+    window = _windowed(line, max(len(theta1[0]), len(theta2[0])) - 1 + upto)
+    theta1, theta2 = _into_frame(theta1, line, window), _into_frame(theta2, line, window)
     for _ in range(upto):
         theta1, theta2, branch = _step(theta1, theta2, line)
         yield theta1, theta2, branch
@@ -344,7 +374,7 @@ def _run_chain(items, observer=None):
                 after = (new1[2], new2[2])
                 observer(form, mult, branch, before, after)
                 before = after
-        theta1, theta2 = (_out_of_frame(theta, line) for theta in (new1, new2))
+        theta1, theta2 = (_out_of_frame(theta, line, upto) for theta in (new1, new2))
     return theta1, theta2
 
 

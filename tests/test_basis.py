@@ -25,7 +25,7 @@ from logvf import (
 from logvf import basis, exponents_by_oracle, trace_chain
 from logvf.basis import _into_frame, _line, _out_of_frame, _ramp, _ramp_degrees, _step, _window_ramp
 from logvf.derivation import apply, primitive
-from logvf.poly import div_linear, div_linear_power, eval_raw, taylor_window, times_linear, unpack_residues
+from logvf.poly import div_linear, div_linear_power, eval_raw, pack_residues, taylor_window, times_linear, unpack_residues
 
 from conftest import dense_determinant, dense_product, plus_beta_power, reference_advance, sample_arrangements
 
@@ -46,15 +46,20 @@ def member(theta):
 def step(theta1, theta2, form, mult):
     """:func:`_step` on ``(f, g)`` members, taken into the form's frame at multiplicity mult and back.
 
-    Returns ``(theta1', theta2', branch)`` with ``(f, g)`` members.
+    Returns ``(theta1', theta2', branch)`` with ``(f, g)`` members.  Over F_p below degree p the
+    members carry Taylor windows, as in ``update_basis``.
     """
-    a, b, p = line = _line(form)
+    line = _line(form)
+    window = basis._windowed(line, max(len(theta1[0]), len(theta2[0])))
     members = []
     for theta in (theta1, theta2):
-        u, *rest = _into_frame(theta, line)
-        members.append((div_linear_power(u, a, b, p, mult), *rest))
+        u, *rest = _into_frame(theta, line, window)
+        for _ in range(mult):
+            u, value = basis._divide(u, line)
+            assert not value
+        members.append((u, *rest))
     new1, new2, branch = _step(*members, line)
-    return _out_of_frame(new1, line), _out_of_frame(new2, line), branch
+    return _out_of_frame(new1, line, mult + 1), _out_of_frame(new2, line, mult + 1), branch
 
 
 DX, DY = ((1,), (0,)), ((0,), (1,))
@@ -211,8 +216,8 @@ def test_step_quotients_stay_integral_over_q():
     branches = set()
     for form in forms:
         line = _line(form)
-        member1, member2 = (_into_frame(theta, line) for theta in (theta1, theta2))
-        for _ in range(5):
+        member1, member2 = (_into_frame(theta, line, False) for theta in (theta1, theta2))
+        for k in range(1, 6):
             member1, member2, branch = _step(member1, member2, line)
             branches.add(branch)
             for member in (member1, member2):
@@ -223,7 +228,7 @@ def test_step_quotients_stay_integral_over_q():
                 if member[1] is not None:
                     quot, value = member[1]
                     assert type(value) is int and (quot is None or all(type(c) is int for c in quot))
-            theta1, theta2 = (_out_of_frame(member, line) for member in (member1, member2))
+            theta1, theta2 = (_out_of_frame(member, line, k) for member in (member1, member2))
             for f, g in (theta1, theta2):
                 assert all(type(c) is int for c in f + g)
     assert branches == set(Branch)
@@ -427,15 +432,32 @@ def test_generic_updates_on_y_land_on_the_oracle_exponents(field):
 # ----------------------------------------------------------------------
 
 
-def _division(quot, line):
-    """A quotient's division by the form as ``_step`` makes it: ``(quotient, value)`` at the point (-ay, ax).
+def quotient(member, line, k):
+    """A member's quotient theta(alpha)/alpha^k as a coefficient tuple.
+
+    A window (over F_p below degree p) holds T_k, T_(k+1), ... of theta(alpha) at the form; it is unpacked
+    and Taylor-shifted back at (a, -b).  It keeps at least one slot, as the tuples keep the zero constant.
+    """
+    u, _, degree = member[:3]
+    if type(u) is not int:
+        return u
+    a, b, p = line
+    n = max(degree + 1 - k, 1)
+    return tuple(taylor_window(unpack_residues(u, n, p), a, -b, p, n))
+
+
+def _division(member, line, k):
+    """A member's division by the form as ``_step`` makes it: ``(quotient, value)`` at the point (-ay, ax).
 
     A monic form's remainder is that value; a non-monic form's quotient is
-    None where the value is nonzero, else the exact quotient.
+    None where the value is nonzero, else the exact quotient.  A window's
+    quotient is the window of the tuple quotient, one slot shorter.
     """
     ax, ay, p = line
+    quot = quotient(member, line, k)
     if ax < 2:
-        return div_linear(quot, ax, ay, p)
+        q, value = div_linear(quot, ax, ay, p)
+        return (pack_residues(list(taylor_window(q, ax, ay, p, len(q))), p) if type(member[0]) is int else q), value
     value = eval_raw(quot, -ay, ax, p)
     return None if value else div_linear(quot, ax, ay, p)[0], value
 
@@ -466,18 +488,25 @@ def test_divide_reads_every_form_at_one_kernel_point(field):
 def step_inputs(monkeypatch, field, seed, count):
     """Every ``_step`` argument tuple of seeded chains over ``field``, each pair sorted by degree as ``_step`` does.
 
-    One line of each arrangement has multiplicity 13 to 16, so the degree
-    gap d runs through 0..12; over Q the non-monic 2x + y and 3x - 2y are
-    always present.
+    Each comes with the multiplicity k its members are at, counted from the
+    ``_into_frame`` calls that start each ramp.  One line of each arrangement
+    has multiplicity 13 to 16, so the degree gap d runs through 0..12; over Q
+    the non-monic 2x + y and 3x - 2y are always present.
     """
-    seen = []
-    step_fn = basis._step
+    seen, k = [], [0]
+    step_fn, into_fn = basis._step, basis._into_frame
+
+    def into(theta, line, window):
+        k[0] = 0
+        return into_fn(theta, line, window)
 
     def spy(theta1, theta2, line):
-        seen.append((theta1, theta2, line) if theta1[2] >= theta2[2] else (theta2, theta1, line))
+        seen.append((theta1, theta2, line, k[0]) if theta1[2] >= theta2[2] else (theta2, theta1, line, k[0]))
+        k[0] += 1
         return step_fn(theta1, theta2, line)
 
     monkeypatch.setattr(basis, "_step", spy)
+    monkeypatch.setattr(basis, "_into_frame", into)
     rng = random.Random(seed)
     pool = small_forms(field)
     for _ in range(count):
@@ -488,6 +517,7 @@ def step_inputs(monkeypatch, field, seed, count):
         mult[rng.choice(forms)] = rng.randint(13, 16)
         build_basis(Multiarrangement(field, mult))
     monkeypatch.setattr(basis, "_step", step_fn)
+    monkeypatch.setattr(basis, "_into_frame", into_fn)
     return seen
 
 
@@ -501,38 +531,133 @@ def _generic_images(theta1, theta2, s, t, line):
 @pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)
 def test_advance_matches_evaluate_then_divide(monkeypatch, field):
     covered = set()
-    carried = 0
-    for theta1, theta2, line in step_inputs(monkeypatch, field, seed=17, count=12):
+    carried = windows = steps = 0
+    for theta1, theta2, line, k in step_inputs(monkeypatch, field, seed=17, count=12):
         p, d = line[2], theta1[2] - theta2[2]
         new1, new2, branch = basis._step(theta1, theta2, line)
-        old = reference_advance(theta1[0], theta2[0], line, d)
+        windows, steps = windows + (type(theta1[0]) is int), steps + 1
+        old = reference_advance(quotient(theta1, line, k), quotient(theta2, line, k), line, d)
         assert branch is old[0], (line, d)
-        assert new2[0] == old[2], (line, d)
+        assert quotient(new2, line, k + 1) == old[2], (line, d)
         if branch is Branch.GENERIC:
             # s and t fix theta1's images too; over Q the quotient and the
             # images share the content that _primitive divides out
             expected = [old[1], *_generic_images(theta1, theta2, *old[3:], line)]
-            got = [new1[0], *(unpack_residues(v, new1[2] + 1, p) if p else v for v in new1[3:])]
-            k = 1 if p else next(s // t for s, t in zip(chain(*expected), chain(*got)) if t)
-            assert expected == [tuple(k * c for c in cs) for cs in got], (line, d)
+            got = [quotient(new1, line, k + 1), *(unpack_residues(v, new1[2] + 1, p) if p else v for v in new1[3:])]
+            scale = 1 if p else next(s // t for s, t in zip(chain(*expected), chain(*got)) if t)
+            assert expected == [tuple(scale * c for c in cs) for cs in got], (line, d)
         else:
-            assert new1[0] == old[1], (line, d)
+            assert quotient(new1, line, k + 1) == old[1], (line, d)
         covered.add((branch, d if branch is Branch.GENERIC else None))
         # a carried division is the one of the quotient it comes with, made afresh
         for member in (theta1, theta2):
             if member[1] is not None:
                 carried += 1
-                assert member[1] == _division(member[0], line), (line, d)
+                assert member[1] == _division(member, line, k), (line, d)
         for member in (new1, new2):
-            assert member[1] is None or member[1] == _division(member[0], line), (line, d)
+            assert member[1] is None or member[1] == _division(member, line, k + 1), (line, d)
         # the member whose quotient is unchanged keeps its division; the other's is dropped
         if branch is Branch.G_VANISHING:
             assert new1[1] == theta1[1] and new2[1] is None, (line, d)
         else:
-            assert new2[1] == _division(theta2[0], line) and new1[1] is None, (line, d)
+            assert new2[1] == _division(theta2, line, k) and new1[1] is None, (line, d)
     assert {branch for branch, _ in covered} == set(Branch)
     assert {d for _, d in covered} >= set(range(13))
     assert carried >= 100
+    # windows only over F_p: for every ramp below degree p (all of them over F_101 and F_(2^31-1)), none past it
+    p = field.characteristic
+    assert windows == 0 if not p else 0 < windows < steps if p == 7 else windows == steps, (windows, steps)
+
+
+# ----------------------------------------------------------------------
+# the window route: over F_p below degree p a member carries theta(alpha)'s Taylor window
+# ----------------------------------------------------------------------
+
+ROUTE_FIELDS = [Field(13), Field(101), Field(2**31 - 1)]
+
+
+def route_arrangements(field):
+    """Seeded arrangements over ``field``; below p = 101 some ramps end at degree p - 1 and some at p.
+
+    From (d/dx, d/dy), y:m takes the pair to degrees (m, 0), so after y:3 the
+    ramp of x to p - 4 ends at p - 1 and the one to p - 3 at p.
+    """
+    p = field.characteristic
+    y, x, xy = (LinearForm(field, *c) for c in [(0, 1), (1, 0), (1, 1)])
+    cases = []
+    if p <= 101:
+        cases += [{y: p - 1}, {y: p}, {y: 3, x: p - 4}, {y: 3, x: p - 3}, {y: 3, x: p - 4, xy: 5}]
+    rng = random.Random(53)
+    top = min(p, 40)
+    for _ in range(10):
+        forms = rng.sample(small_forms(field), rng.randint(2, 5))
+        cases.append({f: rng.randint(1, top // 2) for f in forms})
+    return [Multiarrangement(field, mult) for mult in cases]
+
+
+@pytest.mark.parametrize("field", ROUTE_FIELDS, ids=str)
+def test_window_route_matches_the_tuple_route(monkeypatch, field):
+    # with the route predicate off every ramp carries tuples: the reference for
+    # every step's branch and degrees, every basis and every single update
+    p = field.characteristic
+    arrangements = route_arrangements(field)
+    windowed, routes = basis._windowed, []
+
+    def record(line, top):
+        routes.append((top, windowed(line, top)))
+        return routes[-1][1]
+
+    def run():
+        out = []
+        for arrangement in arrangements:
+            pair, steps = trace_chain(arrangement)
+            form = LinearForm(field, 1, 2)
+            updated = update_basis(pair, form, arrangement.multiplicity(form))
+            out.append((steps, [member(theta) for theta in (*pair, *updated)]))
+        return out
+
+    monkeypatch.setattr(basis, "_windowed", record)
+    on = run()
+    monkeypatch.setattr(basis, "_windowed", lambda line, top: False)
+    off = run()
+    for arrangement, (steps, members), reference in zip(arrangements, on, off):
+        assert (steps, members) == reference, arrangement
+        assert verify_basis(build_basis(arrangement), arrangement)
+    if p <= 101:
+        assert (p - 1, True) in routes and (p, False) in routes
+        assert {window for _, window in routes} == {True, False}
+    else:
+        assert all(window for _, window in routes)
+
+
+@pytest.mark.parametrize("field", ROUTE_FIELDS[1:], ids=str)
+def test_update_on_the_window_route_refuses_a_false_multiplicity(monkeypatch, field):
+    # the multiplicity's dropped slots must be zero, as every division's remainder is on tuples
+    windows = []
+    windowed = basis._windowed
+    monkeypatch.setattr(basis, "_windowed", lambda line, top: windows.append(windowed(line, top)) or windows[-1])
+    x, y, xy = (LinearForm(field, *c) for c in [(1, 0), (0, 1), (1, 1)])
+    pair = build_basis(Multiarrangement(field, {x: 1, y: 1}))
+    windows.clear()
+    for form, mult in [(xy, 1), (xy, 2), (x, 2), (y, 3)]:
+        with pytest.raises(InexactDivisionError):
+            update_basis(pair, form, mult)
+    assert verify_basis(update_basis(pair, xy, 0), Multiarrangement(field, {x: 1, y: 1, xy: 1}))
+    assert windows and all(windows)
+
+
+def test_generic_window_step_checks_its_dropped_slot():
+    # slot 0 of theta1 + t*beta^d*theta2 is zero when t comes from the windows' values;
+    # a carried division whose value disagrees with its window gives a nonzero slot, which raises
+    field = Field(101)
+    line = _line(LinearForm(field, 1, 1))
+    theta1, theta2 = (_into_frame(theta, line, True) for theta in (DX, DY))
+    _, _, branch = _step(theta1, theta2, line)
+    assert branch is Branch.GENERIC
+    quot, value = basis._divide(theta1[0], line)
+    assert value == 1
+    with pytest.raises(InexactDivisionError):
+        _step((theta1[0], (quot, 2), *theta1[2:]), theta2, line)
 
 
 @pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)

@@ -361,7 +361,7 @@ exponents: {5, 5}
 """
 
 
-@pytest.mark.parametrize("command, expected", [("basis", GOLDEN_BASIS), ("trace", GOLDEN_TRACE)])
+@pytest.mark.parametrize("command, expected", [("basis", GOLDEN_BASIS), ("trace", GOLDEN_TRACE)], ids=["basis", "trace"])
 def test_golden_output_non_monic_lines(tmp_path, capsys, command, expected):
     # non-monic (2x + y, 3x - 2y) and rational-input (x/2 + y/3) lines over Q
     path = write(tmp_path, GOLDEN_ARRANGEMENT)

@@ -78,6 +78,29 @@ MUTANTS = (
     ("beta^d's zeros on the wrong end", BASIS, "zip(v, w + pad if ax else pad + w)", "zip(v, pad + w if ax else w + pad)", "tests/test_basis.py"),
     ("the non-monic ax^d dropped", BASIS, "g_val *= ax**d", "g_val *= 1", "tests/test_basis.py"),
     (
+        "the inverse Taylor shift out of a window at +b",
+        BASIS,
+        "a, -b, p, degree + 1))",
+        "a, b, p, degree + 1))",
+        "tests/test_basis.py",
+    ),
+    (
+        "a g-vanishing step also shifts theta1's window",
+        BASIS,
+        "return (u1, div1, theta1[2] + 1,",
+        "return (u1 >> 8 * residue_width(p) if type(u1) is int else u1, div1, theta1[2] + 1,",
+        "tests/test_basis.py",
+    ),
+    (
+        "the generic window step's dropped slot unchecked",
+        BASIS,
+        "if ((u1 & low) + t * (u2 & low)) % p:",
+        "if False:",
+        "tests/test_basis.py",
+    ),
+    ("update_basis's dropped slots unchecked", BASIS, "            if value:", "            if False:", "tests/test_basis.py"),
+    ("the window route up to degree p", BASIS, "return top < line[2]", "return top <= line[2]", "tests/test_basis.py"),
+    (
         "a g-vanishing step leaves theta2 its stale div",
         BASIS,
         "theta2 = (qg, None, *theta2[2:])",
