@@ -13,7 +13,7 @@ import enum
 from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
-from .derivation import Derivation, _line, apply, determinant_coefficient, saito_determinant, signed_content
+from .derivation import Derivation, _line, apply, determinant_coefficient, primitive, saito_determinant
 from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed
 from .poly import residue_width, taylor_window, times_linear, times_linear_power, unpack_residues
 
@@ -114,22 +114,28 @@ def _windowed(line, top):
     return top < line[2]
 
 
+def _partner(a, b):
+    """The partner beta = c*x + d*y of a primitive form a*x + b*y: ``(c, d)`` with a*d - b*c = 1.
+
+    y for x + b*y (x is x + 0*y) and -x for y; for a > 1 (only over Q), d = a^-1 mod |b| and c = (a*d - 1)/b.
+    """
+    if a < 2:
+        return (0, 1) if a else (-1, 0)
+    d = pow(a, -1, abs(b))
+    return (a * d - 1) // b, d
+
+
 def _into_frame(theta, line, window):
     """An ``(f, g)`` member as the ramp of a form alpha carries it: ``(theta(alpha), div, degree, theta(beta))``.
 
-    beta is y for x + c*y (c = 0 for x) and x for y, so det(alpha, beta) = +-1.
-    A non-monic form (over Q) has no such partner among x and y: its member
-    carries f and g themselves, ``(theta(alpha), div, degree, f, g)``.  Over F_p
-    theta(beta) is packed into one int (:func:`poly.residue_width`), and with ``window``
-    so is theta(alpha), as its Taylor window T_0 .. T_D at alpha (:func:`poly.taylor_window`
-    in (alpha, beta), below p its product route).  ``div`` is None: the quotient's
-    :func:`_divide` is made by the first step that needs it.
+    beta is alpha's :func:`_partner`.  Over F_p theta(beta) is packed into one int
+    (:func:`poly.residue_width`), and with ``window`` so is theta(alpha), as its Taylor window T_0 .. T_D
+    at alpha (:func:`poly.taylor_window` in (alpha, beta), below p its product route).  ``div`` is None:
+    the quotient's :func:`_divide` is made by the first step that needs it.
     """
     f, g = theta
     a, b, p = line
-    if a > 1:
-        return apply(f, g, a, b, p), None, len(f) - 1, f, g
-    u, v = (g, f) if not a else (apply(f, g, a, b, p), g)
+    u, v = apply(f, g, a, b, p), apply(f, g, *_partner(a, b), p)
     if window:
         u = pack_residues(list(taylor_window(u, a, b, p, len(u))), p)
     return u, None, len(f) - 1, pack_residues(v, p) if p else v
@@ -138,39 +144,35 @@ def _into_frame(theta, line, window):
 def _out_of_frame(member, line, k):
     """The ``(f, g)`` of a member ``(theta(alpha)/alpha^k, div, degree, theta(beta))`` in the frame of ``line``.
 
-    A window gets its k zero slots T_0 .. T_(k-1) back, and the Taylor shift at (a, -b) (a reversal
-    for y) undoes the one into the frame.  A non-monic form's member carries ``(f, g)`` as they are.
+    theta(alpha) is the tuple quotient times alpha^k, or the window with its k zero slots T_0 .. T_(k-1)
+    put back and the Taylor shift at (a, -b) (a reversal for y) undoing the one into the frame.  The
+    frame's inverse gives f = d*theta(alpha) - b*theta(beta) and g = a*theta(beta) - c*theta(alpha).
+    Over Q the pair is signed as :func:`derivation.primitive` signs it: the one place the sign is fixed.
     """
-    u, _, degree, *images = member
+    u, _, degree, v = member
     a, b, p = line
-    if a > 1:
-        return tuple(images)
-    v = unpack_residues(images[0], degree + 1, p) if p else images[0]
+    c, d = _partner(a, b)
+    if p:
+        v = unpack_residues(v, degree + 1, p)
     if type(u) is int:  # theta(alpha)
         h = tuple(taylor_window(unpack_residues(u << 8 * residue_width(p) * k, degree + 1, p), a, -b, p, degree + 1))
     else:
         h = times_linear_power(u, a, b, p, degree + 1 - len(u))
-    if not a:
-        return v, h
-    f = [(s - b * t) % p for s, t in zip(h, v)] if p else [s - b * t for s, t in zip(h, v)]  # theta(alpha) - b*g
-    return tuple(f), v
+    f, g = apply(h, v, d, -b, p), apply(h, v, -c, a, p)
+    return (f, g) if p else primitive(f, g)[:2]
 
 
-def _primitive(member, line):
-    """A member over Q divided by the :func:`derivation.signed_content` of its ``(f, g)``.
+def _primitive(member):
+    """A member over Q divided by the gcd of its quotient and image.
 
-    The frame of a monic form is unimodular and the form primitive, so by
-    Gauss's lemma the content of (f, g) is gcd(u, v).  For x + c*y, g is v,
-    and where g is zero, f is u*alpha^k, whose top coefficient has the sign
-    of u's; for y, f is v and g is u*y^k.  A non-monic form carries f and g.
+    The frame is unimodular and the form primitive, so by Gauss's lemma
+    that gcd is the content of (f, g).  The sign is fixed by :func:`_out_of_frame`.
     """
-    u, _, degree, *images = member
-    a = line[0]
-    k = signed_content(*images) if a > 1 else signed_content(u, *images) if a else signed_content(*images, u)
+    u, _, degree, v = member
+    k = gcd(*u, *v)
     if k == 1:
         return member
-    u, *images = (tuple([c // k for c in cs]) for cs in (u, *images))
-    return u, None, degree, *images
+    return tuple([c // k for c in u]), None, degree, tuple([c // k for c in v])
 
 
 def _divide(u, line):
@@ -195,18 +197,20 @@ def _step(theta1, theta2, line):
     """One multiplicity-raising update; the engine behind the public operations.
 
     ``line`` is :func:`_line` of a form alpha of multiplicity k, and each
-    member is a tuple ``(theta(alpha)/alpha^k, div, degree, theta(beta), ...)``
-    in the frame of :func:`_into_frame`; all after the degree are linear
-    images of (f, g), and ``div`` is None or the quotient's :func:`_divide`.
+    member is a tuple ``(theta(alpha)/alpha^k, div, degree, theta(beta))``
+    in the frame of :func:`_into_frame`, with ``div`` None or the quotient's
+    :func:`_divide`.
     (theta1, theta2) must be a basis of D(A, mu), in either order: the member
     of larger degree is taken as theta1.  The returned ``(theta1', theta2',
     branch)`` is a basis at k + 1 in the same frame, and the member whose
     quotient is unchanged keeps its division.
     Over Q both members must be primitive integer derivations, like every
     member returned: by Gauss's lemma their products with the primitive form
-    stay primitive, with the same sign, so only the generic combination is
-    reduced and every value stays an integer.  The generic step is the window
-    ramp's (:func:`_window_ramp`): theta1' = s*theta1 + t*beta^d*theta2, which
+    stay primitive, so only the generic combination is reduced and every
+    value stays an integer.  No sign is fixed here: a step on +-theta1 or
+    +-theta2 gives +-theta1', and :func:`_out_of_frame` signs the pair.
+    The generic step is the window ramp's (:func:`_window_ramp`):
+    theta1' = s*theta1 + t*beta^d*theta2 (beta x for y, else y), which
     clears the obstruction at alpha's kernel point.  A monic form's quotient
     is then built from the two carried divisions, or from the two windows,
     whose slot 0 it checks and drops; over F_p s = 1 and theta1's packed
@@ -216,19 +220,17 @@ def _step(theta1, theta2, line):
     if theta1[2] < theta2[2]:
         theta1, theta2 = theta2, theta1
     ax, ay, p = line
-    d = theta1[2] - theta2[2]
-    u1, div1, u2, div2 = theta1[0], theta1[1], theta2[0], theta2[1]
+    (u1, div1, d1, v1), (u2, div2, d2, v2) = theta1, theta2
+    d = d1 - d2
     qg, g_val = div2 = div2 or _divide(u2, line)
     if not g_val:
         # form^(mult+1) already divides theta2(form): multiply theta1 instead
-        theta2 = (qg, None, *theta2[2:])
-        return (u1, div1, theta1[2] + 1, *_times_form(theta1[3:], line)), theta2, Branch.G_VANISHING
-    images = theta2[3:]
-    theta2 = (u2, div2, theta2[2] + 1, *_times_form(images, line))
+        return (u1, div1, d1 + 1, _times_form(v1, line)), (qg, None, d2, v2), Branch.G_VANISHING
+    theta2 = (u2, div2, d2 + 1, _times_form(v2, line))
     qf, f_val = div1 or _divide(u1, line)
     if not f_val:
         # form^(mult+1) already divides theta1(form): multiply theta2 instead
-        return (qf, None, *theta1[2:]), theta2, Branch.F_VANISHING
+        return (qf, None, d1, v1), theta2, Branch.F_VANISHING
 
     # generic case: s*f_val + t*beta^d*g_val = 0 at the kernel point, where beta (x for y, else y) is 1 for a
     # monic form and ax at (-ay, ax)
@@ -249,19 +251,18 @@ def _step(theta1, theta2, line):
     else:  # s*u1 + t*beta^d*u2 = form*(s*Qf + t*beta^d*Qg): the remainders' terms cancel at beta^deg(u1)
         u1 = _combine(qf, qg, s, t, ax, p)
     if p:  # beta^d shifts the packed image of theta2 up by d slots for y, and by none for y^d
-        v = images[0] << 8 * residue_width(p) * d if not ax else images[0]
-        return (u1, None, theta1[2], reduce_packed(theta1[3] + v * t, p)), theta2, Branch.GENERIC
-    theta1 = (u1, None, theta1[2], *[_combine(v, w, s, t, ax, p) for v, w in zip(theta1[3:], images)])
-    return _primitive(theta1, line), theta2, Branch.GENERIC
+        v = v2 << 8 * residue_width(p) * d if not ax else v2
+        return (u1, None, d1, reduce_packed(v1 + v * t, p)), theta2, Branch.GENERIC
+    return _primitive((u1, None, d1, _combine(v1, v2, s, t, ax, p))), theta2, Branch.GENERIC
 
 
-def _times_form(images, line):
-    """A member's images times the form: tuples over Q; over F_p the packed image times y, x or x + b*y."""
+def _times_form(v, line):
+    """A member's image times the form: a tuple over Q; over F_p the packed image times y, x or x + b*y."""
     a, b, p = line
     if not p:
-        return [times_linear(t, a, b, p) for t in images]
-    v, w = images[0], 8 * residue_width(p)
-    return [v if not a else v << w if not b else reduce_packed(v * (b % p) + (v << w), p)]
+        return times_linear(v, a, b, p)
+    w = 8 * residue_width(p)
+    return v if not a else v << w if not b else reduce_packed(v * (b % p) + (v << w), p)
 
 
 def _combine(v, w, s, t, ax, p):

@@ -33,12 +33,6 @@ def apply(f, g, a, b, p):
     return _collapse(tuple([a * s + b * t for s, t in zip(f, g)]))
 
 
-def signed_content(f, g):
-    """The gcd of the integer coefficients, signed as g's highest nonzero x-coefficient (f's if g is 0)."""
-    k = math.gcd(*f, *g)
-    return -k if (next(filter(None, reversed(g)), 0) or next(filter(None, reversed(f)))) < 0 else k
-
-
 def _cleared(f, g):
     """Rational coefficient tuples times the lcm of their denominators: ``(f', g', lcm)``, ints as they are."""
     den = math.lcm(*(c.denominator for c in f + g))
@@ -48,12 +42,15 @@ def _cleared(f, g):
 
 
 def primitive(f, g):
-    """Integer coefficient tuples divided by their :func:`signed_content` k: ``(f', g', k)``.
+    """Integer coefficient tuples divided by their signed content k: ``(f', g', k)``.
 
-    The sign makes the trailing nonzero coefficient (the highest power of x
-    in g, falling back to f) positive, and ``f == k * f'``.
+    k is the gcd of the coefficients, signed so that the trailing nonzero
+    coefficient (the highest power of x in g, falling back to f) turns
+    positive, and ``f == k * f'``.  This is the one sign rule of every basis.
     """
-    k = signed_content(f, g)
+    k = math.gcd(*f, *g)
+    if (next(filter(None, reversed(g)), 0) or next(filter(None, reversed(f)))) < 0:
+        k = -k
     if k == 1:
         return f, g, 1
     return tuple([c // k for c in f]), tuple([c // k for c in g]), k

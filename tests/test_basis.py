@@ -3,6 +3,7 @@
 import random
 from itertools import chain
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -221,9 +222,9 @@ def test_step_quotients_stay_integral_over_q():
             member1, member2, branch = _step(member1, member2, line)
             branches.add(branch)
             for member in (member1, member2):
-                # (quotient, div, degree, images...): the degree is the one entry that is an int
-                assert type(member[2]) is int
-                assert all(type(c) is int for cs in (member[0], *member[3:]) for c in cs)
+                # (quotient, div, degree, theta(beta)) on every form: the degree is the one entry that is an int
+                assert len(member) == 4 and type(member[2]) is int
+                assert all(type(c) is int for cs in (member[0], member[3]) for c in cs)
                 # div is None, (quotient, remainder) or (None, value), in ints as well
                 if member[1] is not None:
                     quot, value = member[1]
@@ -232,6 +233,60 @@ def test_step_quotients_stay_integral_over_q():
             for f, g in (theta1, theta2):
                 assert all(type(c) is int for c in f + g)
     assert branches == set(Branch)
+
+
+def test_partner_is_unimodular():
+    # every primitive form in normal form, |b| = 1 and negative b included, gets a partner of determinant 1
+    forms = [(a, b) for a in range(8) for b in range(-7, 8) if gcd(a, b) == 1 and (a or b == 1)]
+    for a, b in forms:
+        c, d = basis._partner(a, b)
+        assert a * d - b * c == 1, (a, b, c, d)
+    assert {(1, 1), (2, -1), (7, 1), (0, 1), (1, 0), (5, -7)} <= set(forms)
+
+
+FRAME_FORMS = [(0, 1), (1, 0), (1, 1), (1, -1), (1, 3), (1, -2), (2, 1), (3, -2), (2, -1), (5, 7), (7, -3)]
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(101), Field(2**31 - 1)], ids=str)
+def test_frame_round_trip_returns_the_signed_member(field):
+    # into the frame of a form and straight out again at multiplicity 0: (f, g) as it was, on
+    # tuples and (over F_101 and F_(2^31-1), below degree p) on windows; over Q +-theta comes back signed
+    p = field.characteristic
+    rng = random.Random(67)
+    lines = {_line(LinearForm(field, a, b)) for a, b in FRAME_FORMS}
+    assert len(lines) >= 6 and any(a > 1 for a, _, _ in lines) == (not p)  # non-monic forms only over Q
+    windows = [False] + ([True] if p > 7 else [])
+    trips = 0
+    for line in sorted(lines):
+        for degree in range(7):
+            f, g = (tuple(rng.randint(-9, 9) % p if p else rng.randint(-9, 9) for _ in range(degree + 1)) for _ in "fg")
+            if not any(f + g):
+                continue
+            expected = (f, g) if p else primitive(f, g)[:2]
+            thetas = [(f, g)] if p else [expected, tuple(tuple(-c for c in cs) for cs in expected)]
+            for theta in thetas:
+                for window in windows:
+                    assert _out_of_frame(_into_frame(theta, line, window), line, 0) == expected, (line, theta, window)
+                    trips += 1
+    assert trips >= 40
+
+
+def test_every_basis_over_q_is_signed_by_primitive():
+    # the chain's members carry no sign rule; _out_of_frame signs each rebuilt pair, so every
+    # member of build_basis, trace_chain and update_basis is its own primitive() with factor 1
+    rng = random.Random(71)
+    pool = small_forms(RATIONALS)
+    checked = 0
+    for _ in range(12):
+        forms = list(dict.fromkeys(rng.sample(pool, rng.randint(1, 4)) + NON_MONIC))
+        arrangement = Multiarrangement(RATIONALS, {form: rng.randint(1, 7) for form in forms})
+        pair = build_basis(arrangement)
+        traced, _ = trace_chain(arrangement)
+        updated = [update_basis(pair, form, arrangement.multiplicity(form)) for form in (rng.choice(pool), *NON_MONIC)]
+        for theta in chain(pair, traced, *updated):
+            assert theta.primitive()[1] == 1, (arrangement, theta)
+            checked += 1
+    assert checked == 12 * 2 * 5
 
 
 def test_saito_determinant_is_defining_product():
@@ -521,11 +576,11 @@ def step_inputs(monkeypatch, field, seed, count):
     return seen
 
 
-def _generic_images(theta1, theta2, s, t, line):
-    """theta1's images after a generic step, s*theta1 + t*beta^d*theta2, as tuples."""
+def _generic_image(theta1, theta2, s, t, line):
+    """theta1's image theta(beta) after a generic step, s*theta1 + t*beta^d*theta2, as a tuple."""
     p = line[2]
-    images = [[unpack_residues(v, m[2] + 1, p) if p else v for v in m[3:]] for m in (theta1, theta2)]
-    return [plus_beta_power(v, w, s, t, line) for v, w in zip(*images)]
+    v, w = (unpack_residues(m[3], m[2] + 1, p) if p else m[3] for m in (theta1, theta2))
+    return plus_beta_power(v, w, s, t, line)
 
 
 @pytest.mark.parametrize("field", RAMP_FIELDS, ids=str)
@@ -540,10 +595,10 @@ def test_advance_matches_evaluate_then_divide(monkeypatch, field):
         assert branch is old[0], (line, d)
         assert quotient(new2, line, k + 1) == old[2], (line, d)
         if branch is Branch.GENERIC:
-            # s and t fix theta1's images too; over Q the quotient and the
-            # images share the content that _primitive divides out
-            expected = [old[1], *_generic_images(theta1, theta2, *old[3:], line)]
-            got = [quotient(new1, line, k + 1), *(unpack_residues(v, new1[2] + 1, p) if p else v for v in new1[3:])]
+            # s and t fix theta1's image too; over Q the quotient and the
+            # image share the content that _primitive divides out
+            expected = [old[1], _generic_image(theta1, theta2, *old[3:], line)]
+            got = [quotient(new1, line, k + 1), unpack_residues(new1[3], new1[2] + 1, p) if p else new1[3]]
             scale = 1 if p else next(s // t for s, t in zip(chain(*expected), chain(*got)) if t)
             assert expected == [tuple(scale * c for c in cs) for cs in got], (line, d)
         else:

@@ -87,8 +87,8 @@ MUTANTS = (
     (
         "a g-vanishing step also shifts theta1's window",
         BASIS,
-        "return (u1, div1, theta1[2] + 1,",
-        "return (u1 >> 8 * residue_width(p) if type(u1) is int else u1, div1, theta1[2] + 1,",
+        "return (u1, div1, d1 + 1,",
+        "return (u1 >> 8 * residue_width(p) if type(u1) is int else u1, div1, d1 + 1,",
         "tests/test_basis.py",
     ),
     (
@@ -103,10 +103,14 @@ MUTANTS = (
     (
         "a g-vanishing step leaves theta2 its stale div",
         BASIS,
-        "theta2 = (qg, None, *theta2[2:])",
-        "theta2 = (qg, div2, *theta2[2:])",
+        "(qg, None, d2, v2)",
+        "(qg, div2, d2, v2)",
         "tests/test_basis.py",
     ),
+    ("y's partner x, so det = -1", BASIS, "return (0, 1) if a else (-1, 0)", "return (0, 1) if a else (1, 0)", "tests/test_basis.py"),
+    ("the non-monic partner's c with its sign flipped", BASIS, "return (a * d - 1) // b, d", "return (1 - a * d) // b, d", "tests/test_basis.py"),
+    ("_primitive's gcd of the quotient alone", BASIS, "k = gcd(*u, *v)", "k = gcd(*u)", "tests/test_basis.py"),
+    ("the sign left unfixed out of the frame", BASIS, "return (f, g) if p else primitive(f, g)[:2]", "return f, g", "tests/test_basis.py"),
 )
 
 
