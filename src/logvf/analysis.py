@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .arrangement import LinearForm, Multiarrangement, all_hyperplanes
-from .basis import BasisPair, Branch, _divide, _line, _out_of_frame, _pair, _ramp, _run_chain, _window_ramp
+from .basis import BasisPair, Branch, _line, _out_of_frame, _pair, _ramp, _run_chain, _window_ramp
 from .basis import verify_basis
 from .derivation import Derivation, apply
 from .field import Field
@@ -89,9 +89,8 @@ class NoGenericFormError(Exception):
 
 
 def _avoids_obstruction(theta2: Derivation, form: LinearForm) -> bool:
-    """True when form does not divide theta2(form)."""
-    a, b, p = line = _line(form)
-    return bool(_divide(apply(theta2.f.coeffs, theta2.g.coeffs, a, b, p), line)[1])
+    """True when form does not divide theta2(form): theta2 is no member of D({form: 1})."""
+    return not theta2.is_member(Multiarrangement(theta2.field, {form: 1}))
 
 
 def _ladder():
@@ -111,9 +110,11 @@ def find_generic_form(theta2: Derivation, exclude=()) -> LinearForm:
     generic branch, which lowers the exponent difference when theta2 is the
     smaller-degree member of a basis.  Scanning y, then x + c*y for c = 0, 1,
     ..., p - 1 over F_p or c = 0, 1, -1, 2, ... over Q, makes the result
-    deterministic.  theta2(x + c*y) at the kernel point is (x*g - y*f)(c, -1),
-    of degree <= deg(theta2) + 1 in c and zero exactly for an Euler multiple,
-    so over every field the search stops after deg(theta2) + 2 obstructed forms.
+    deterministic.  A form is obstructed when theta2(alpha) vanishes at the
+    chain's kernel point (-ay, ax) of alpha, (1, 0) for y (:func:`basis._divide`).
+    theta2(x + c*y) there is (y*f - x*g)(-c, 1), of degree <= deg(theta2) + 1
+    in c and zero exactly for an Euler multiple, so over every field the
+    search stops after deg(theta2) + 2 obstructed forms.
     """
     field = theta2.field
     excluded = set(exclude)

@@ -48,11 +48,6 @@ class LinearForm:
         self.ax = a
         self.ay = b
 
-    def point_raw(self):
-        """A raw point (ay, -ax) spanning the kernel of the form."""
-        p = self.field.characteristic
-        return (self.ay, -self.ax % p if p else -self.ax)
-
     def sort_key(self):
         """Key for the canonical ordering of forms (y sorts before x + c*y)."""
         a, b = self.ax, self.ay
@@ -115,10 +110,6 @@ class Multiarrangement:
         self.field = field
         self._mult = dict(multiplicities.items())
         self._forms = tuple(sorted(self._mult, key=LinearForm.sort_key))
-
-    def forms(self) -> tuple[LinearForm, ...]:
-        """The hyperplanes in canonical order."""
-        return self._forms
 
     def items(self) -> tuple[tuple[LinearForm, int], ...]:
         return tuple((f, self._mult[f]) for f in self._forms)

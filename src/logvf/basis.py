@@ -13,7 +13,7 @@ import enum
 from math import gcd
 
 from .arrangement import LinearForm, Multiarrangement
-from .derivation import Derivation, _line, apply, determinant_coefficient, primitive, saito_determinant
+from .derivation import Derivation, _line, apply, determinant_coefficient, primitive
 from .poly import HomogPoly, InexactDivisionError, div_linear, div_linear_power, eval_raw, pack_residues, reduce_packed
 from .poly import residue_width, taylor_window, times_linear, times_linear_power, unpack_residues
 
@@ -46,9 +46,6 @@ class BasisPair:
     def degrees(self) -> tuple[int, int]:
         """The pair of coefficient degrees, largest first."""
         return (self.theta1.degree, self.theta2.degree)
-
-    def determinant(self) -> HomogPoly:
-        return saito_determinant(self.theta1, self.theta2)
 
     def independent(self) -> bool:
         """Whether the determinant is nonzero, without forming it.
@@ -104,7 +101,13 @@ def verify_basis(pair: BasisPair, arrangement: Multiarrangement) -> bool:
 
 
 def _pair(field, theta1, theta2) -> BasisPair:
-    """The BasisPair of two chain members, each an ``(f, g)`` pair of coefficient tuples."""
+    """The BasisPair of two chain members, each an ``(f, g)`` pair of coefficient tuples.
+
+    Every basis handed out is built here, and over Q each member is signed by
+    :func:`derivation.primitive`: the one place a sign is fixed.
+    """
+    if not field.characteristic:
+        theta1, theta2 = (primitive(*theta)[:2] for theta in (theta1, theta2))
     polys = [HomogPoly._raw(field, cs) for cs in (*theta1, *theta2)]
     return BasisPair(Derivation(*polys[:2]), Derivation(*polys[2:]))
 
@@ -147,26 +150,25 @@ def _out_of_frame(member, line, k):
     theta(alpha) is the tuple quotient times alpha^k, or the window with its k zero slots T_0 .. T_(k-1)
     put back and the Taylor shift at (a, -b) (a reversal for y) undoing the one into the frame.  The
     frame's inverse gives f = d*theta(alpha) - b*theta(beta) and g = a*theta(beta) - c*theta(alpha).
-    Over Q the pair is signed as :func:`derivation.primitive` signs it: the one place the sign is fixed.
+    No sign is fixed: :func:`_pair` signs the bases handed out.
     """
     u, _, degree, v = member
     a, b, p = line
     c, d = _partner(a, b)
-    if p:
+    if type(v) is int:  # theta(beta), packed over F_p
         v = unpack_residues(v, degree + 1, p)
     if type(u) is int:  # theta(alpha)
         h = tuple(taylor_window(unpack_residues(u << 8 * residue_width(p) * k, degree + 1, p), a, -b, p, degree + 1))
     else:
         h = times_linear_power(u, a, b, p, degree + 1 - len(u))
-    f, g = apply(h, v, d, -b, p), apply(h, v, -c, a, p)
-    return (f, g) if p else primitive(f, g)[:2]
+    return apply(h, v, d, -b, p), apply(h, v, -c, a, p)
 
 
 def _primitive(member):
     """A member over Q divided by the gcd of its quotient and image.
 
     The frame is unimodular and the form primitive, so by Gauss's lemma
-    that gcd is the content of (f, g).  The sign is fixed by :func:`_out_of_frame`.
+    that gcd is the content of (f, g).  The sign is fixed by :func:`_pair`.
     """
     u, _, degree, v = member
     k = gcd(*u, *v)
@@ -208,7 +210,7 @@ def _step(theta1, theta2, line):
     member returned: by Gauss's lemma their products with the primitive form
     stay primitive, so only the generic combination is reduced and every
     value stays an integer.  No sign is fixed here: a step on +-theta1 or
-    +-theta2 gives +-theta1', and :func:`_out_of_frame` signs the pair.
+    +-theta2 gives +-theta1', and :func:`_pair` signs the basis handed out.
     The generic step is the window ramp's (:func:`_window_ramp`):
     theta1' = s*theta1 + t*beta^d*theta2 (beta x for y, else y), which
     clears the obstruction at alpha's kernel point.  A monic form's quotient

@@ -27,10 +27,10 @@ def _line(form: LinearForm):
 
 
 def apply(f, g, a, b, p):
-    """The coefficient tuple of ``theta(alpha) = a*f + b*g`` for alpha = a*x + b*y."""
+    """The coefficient tuple of ``theta(alpha) = a*f + b*g`` for alpha = a*x + b*y, on ints (reduced mod p)."""
     if p:
         return tuple([(a * s + b * t) % p for s, t in zip(f, g)])
-    return _collapse(tuple([a * s + b * t for s, t in zip(f, g)]))
+    return tuple([a * s + b * t for s, t in zip(f, g)])
 
 
 def _cleared(f, g):
@@ -96,11 +96,11 @@ class Derivation:
 
     @classmethod
     def partial_x(cls, field: Field) -> "Derivation":
-        return cls(HomogPoly.constant(field, 1), HomogPoly.zero(field, 0))
+        return cls(HomogPoly(field, [1]), HomogPoly.zero(field, 0))
 
     @classmethod
     def partial_y(cls, field: Field) -> "Derivation":
-        return cls(HomogPoly.zero(field, 0), HomogPoly.constant(field, 1))
+        return cls(HomogPoly.zero(field, 0), HomogPoly(field, [1]))
 
     @classmethod
     def euler(cls, field: Field) -> "Derivation":
@@ -114,7 +114,7 @@ class Derivation:
         if form.field != self.field:
             raise ValueError("form belongs to a different field")
         h = apply(self.f.coeffs, self.g.coeffs, form.ax, form.ay, self.field.characteristic)
-        return HomogPoly._raw(self.field, h)
+        return HomogPoly._raw(self.field, _collapse(h))
 
     def is_member(self, arrangement: Multiarrangement) -> bool:
         """Whether this derivation lies in D(A, mu) for the given arrangement.

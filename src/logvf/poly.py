@@ -274,10 +274,6 @@ class HomogPoly:
         return cls._raw(field, (0,) * (degree + 1))
 
     @classmethod
-    def constant(cls, field: Field, c) -> "HomogPoly":
-        return cls(field, [c])
-
-    @classmethod
     def monomial(cls, field: Field, degree: int, x_power: int, coefficient=1) -> "HomogPoly":
         """The monomial ``coefficient * x^x_power * y^(degree - x_power)``."""
         if not 0 <= x_power <= degree:

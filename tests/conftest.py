@@ -102,6 +102,11 @@ def random_difference_one_arrangement(rng):
             return arr
 
 
+def kernel_point(form):
+    """The chain's point on the kernel of a form: (-ay, ax), or (1, 0) for y (``basis._divide``)."""
+    return (-form.ay, form.ax) if form.ax else (1, 0)
+
+
 def dense_product(a, b, p):
     """The product of two coefficient tuples by a plain double loop (reduced mod p when p > 0).
 

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -32,8 +33,9 @@ from logvf import (
 )
 from logvf import analysis, basis
 from logvf.analysis import ExperimentRow, _avoids_obstruction, _ladder
+from logvf.poly import eval_raw
 
-from conftest import sample_arrangements
+from conftest import kernel_point, sample_arrangements
 
 X = LinearForm(RATIONALS, 1, 0)
 Y = LinearForm(RATIONALS, 0, 1)
@@ -110,7 +112,7 @@ def test_generic_addition_balances_difference_one():
         arr = random_difference_one_arrangement(rng)
         pair = build_basis(arr)
         try:
-            form = find_generic_form(pair.theta2, exclude=arr.forms())
+            form = find_generic_form(pair.theta2, exclude=tuple(arr))
         except NoGenericFormError:
             continue  # theta2 is an Euler multiple; the corollary is vacuous here
         d1, d2 = exponents(arr.incremented(form))
@@ -159,7 +161,7 @@ def _obstructed_at(rng, field, forms, degree):
     h of those forms (times a random factor) is split as h = x*g - y*f, and a
     random Euler multiple (x*k, y*k), which leaves h unchanged, is added.
     """
-    h = HomogPoly.constant(field, 1)
+    h = HomogPoly(field, [1])
     for form in forms[: degree + 1]:
         h = h.times_linear(form)
     h = h * _random_poly(rng, field, degree + 1 - h.degree)
@@ -239,6 +241,44 @@ def test_find_generic_form_makes_at_most_degree_plus_three_tests(monkeypatch):
                 find_generic_form(theta, exclude=[LinearForm(field, 1, 1)])
             assert len(calls) <= theta.degree + 3, (p, len(calls))
             assert time.perf_counter() - start < 1
+
+
+def test_find_generic_form_matches_theta2_at_the_kernel_point():
+    # the obstruction test is membership in D({form: 1}); read here directly: theta2(alpha), from
+    # Derivation.apply on rational coefficients, at the chain's kernel point.  The scan returns the
+    # first of y, x, x + y, x - y, ... where that value is nonzero, and raises when deg + 2 of the x + c*y
+    # are zero; half of the derivations are obstructed at y and x, where a test at multiplicity 2 would pass
+    rng = random.Random(29)
+    non_monic = [LinearForm(RATIONALS, 2, 1), LinearForm(RATIONALS, 3, -2), LinearForm(RATIONALS, 1, 2)]
+    found = raised = collapsed = 0
+    for _ in range(300):
+        degree = rng.randint(0, 5)
+        f, g = ([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(degree + 1)] for _ in "fg")
+        if rng.random() < 0.5:
+            f[0] = g[-1] = 0  # theta2(x) = f vanishes at (0, 1), theta2(y) = g at (1, 0)
+        if not any(f + g):
+            continue
+        theta2 = Derivation(HomogPoly(RATIONALS, f), HomogPoly(RATIONALS, g))
+
+        def value(form):
+            nonlocal collapsed
+            h = theta2.apply(form).coeffs
+            assert all(type(c) is int or c.denominator > 1 for c in h), (theta2, form)  # integral values are ints
+            collapsed += sum(type(c) is int and Fraction in (type(s), type(t)) for c, s, t in zip(h, f, g))
+            return eval_raw(h, *kernel_point(form), 0)
+
+        candidates = [Y] + [LinearForm(RATIONALS, 1, c) for c in itertools.islice(_ladder(), degree + 2)]
+        expected = next((form for form in candidates if value(form)), None)
+        try:
+            got = find_generic_form(theta2)
+        except NoGenericFormError:
+            got = None
+        assert got == expected, theta2
+        found += got is not None
+        raised += got is None
+        for form in non_monic:
+            assert _avoids_obstruction(theta2, form) == bool(value(form)), (theta2, form)
+    assert found >= 200 and raised >= 1 and collapsed >= 100, (found, raised, collapsed)
 
 
 # ----------------------------------------------------------------------

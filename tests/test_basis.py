@@ -23,12 +23,12 @@ from logvf import (
     update_basis,
     verify_basis,
 )
-from logvf import basis, exponents_by_oracle, trace_chain
+from logvf import basis, exponents_by_oracle, poly, trace_chain
 from logvf.basis import _into_frame, _line, _out_of_frame, _ramp, _ramp_degrees, _step, _window_ramp
 from logvf.derivation import apply, primitive
 from logvf.poly import div_linear, div_linear_power, eval_raw, pack_residues, taylor_window, times_linear, unpack_residues
 
-from conftest import dense_determinant, dense_product, plus_beta_power, reference_advance, sample_arrangements
+from conftest import dense_determinant, dense_product, kernel_point, plus_beta_power, reference_advance, sample_arrangements
 
 
 def x_dx(field=RATIONALS):
@@ -115,10 +115,10 @@ def test_update_generic_branch_constant_q():
     # the multiplied member (x+y) dy sorts first; the other is dx - dy up to
     # the sign convention of primitive reduction
     assert out.theta1 == Derivation(
-        HomogPoly.zero(RATIONALS, 0), HomogPoly.constant(RATIONALS, 1)
+        HomogPoly.zero(RATIONALS, 0), HomogPoly(RATIONALS, [1])
     ).times_linear(XY)
-    one = HomogPoly.constant(RATIONALS, 1)
-    minus_one = HomogPoly.constant(RATIONALS, -1)
+    one = HomogPoly(RATIONALS, [1])
+    minus_one = HomogPoly(RATIONALS, [-1])
     assert out.theta2 in (Derivation(one, minus_one), Derivation(minus_one, one))
 
 
@@ -191,7 +191,7 @@ def test_build_equals_repeated_updates():
         pair = BasisPair(
             Derivation.partial_x(arr.field), Derivation.partial_y(arr.field)
         )
-        for form in arr.forms():
+        for form in arr:
             for m in range(arr.multiplicity(form)):
                 pair = update_basis(pair, form, m)
         chained = build_basis(arr)
@@ -249,8 +249,8 @@ FRAME_FORMS = [(0, 1), (1, 0), (1, 1), (1, -1), (1, 3), (1, -2), (2, 1), (3, -2)
 
 @pytest.mark.parametrize("field", [RATIONALS, Field(7), Field(101), Field(2**31 - 1)], ids=str)
 def test_frame_round_trip_returns_the_signed_member(field):
-    # into the frame of a form and straight out again at multiplicity 0: (f, g) as it was, on
-    # tuples and (over F_101 and F_(2^31-1), below degree p) on windows; over Q +-theta comes back signed
+    # into the frame of a form and straight out again at multiplicity 0: (f, g) exactly as it was, on
+    # tuples and (over F_101 and F_(2^31-1), below degree p) on windows; the frame fixes no sign
     p = field.characteristic
     rng = random.Random(67)
     lines = {_line(LinearForm(field, a, b)) for a, b in FRAME_FORMS}
@@ -262,17 +262,14 @@ def test_frame_round_trip_returns_the_signed_member(field):
             f, g = (tuple(rng.randint(-9, 9) % p if p else rng.randint(-9, 9) for _ in range(degree + 1)) for _ in "fg")
             if not any(f + g):
                 continue
-            expected = (f, g) if p else primitive(f, g)[:2]
-            thetas = [(f, g)] if p else [expected, tuple(tuple(-c for c in cs) for cs in expected)]
-            for theta in thetas:
-                for window in windows:
-                    assert _out_of_frame(_into_frame(theta, line, window), line, 0) == expected, (line, theta, window)
-                    trips += 1
+            for window in windows:
+                assert _out_of_frame(_into_frame((f, g), line, window), line, 0) == (f, g), (line, f, g, window)
+                trips += 1
     assert trips >= 40
 
 
 def test_every_basis_over_q_is_signed_by_primitive():
-    # the chain's members carry no sign rule; _out_of_frame signs each rebuilt pair, so every
+    # the chain's members carry no sign rule; _pair signs every basis handed out, so every
     # member of build_basis, trace_chain and update_basis is its own primitive() with factor 1
     rng = random.Random(71)
     pool = small_forms(RATIONALS)
@@ -291,7 +288,7 @@ def test_every_basis_over_q_is_signed_by_primitive():
 
 def test_saito_determinant_is_defining_product():
     arr = Multiarrangement(RATIONALS, {X: 2, Y: 1, XY: 1})
-    quotient = build_basis(arr).determinant().coeffs
+    quotient = saito_determinant(*build_basis(arr)).coeffs
     for form, mult in arr.items():
         quotient = div_linear_power(quotient, form.ax, form.ay, 0, mult)
     assert len(quotient) == 1 and quotient[0]
@@ -315,9 +312,9 @@ def test_prime_field_chain():
 
 
 def _generic_reference(theta1, theta2, form, mult):
-    """theta1' = s*theta1 + t*beta^d*theta2 of a generic step on ``(f, g)`` members, s and t solved for at (ay, -ax)."""
+    """theta1' = s*theta1 + t*beta^d*theta2 of a generic step on ``(f, g)`` members, s and t solved for at the kernel point."""
     a, b, p = line = _line(form)
-    px, py = form.point_raw()
+    px, py = kernel_point(form)
     f_val, g_val = (
         eval_raw(div_linear_power(apply(f, g, a, b, p), a, b, p, mult), px, py, p) for f, g in (theta1, theta2)
     )
@@ -328,8 +325,7 @@ def _generic_reference(theta1, theta2, form, mult):
         s, t = 1, ratio.numerator * pow(ratio.denominator, -1, p) % p
     else:
         s, t = ratio.denominator, ratio.numerator
-    f, g = (plus_beta_power(c1, c2, s, t, line) for c1, c2 in zip(theta1, theta2))
-    return (f, g) if p else primitive(f, g)[:2]
+    return tuple(plus_beta_power(c1, c2, s, t, line) for c1, c2 in zip(theta1, theta2))
 
 
 def test_generic_step_equals_dense_combination():
@@ -349,7 +345,12 @@ def test_generic_step_equals_dense_combination():
                 new1, new2, branch = step(theta1, theta2, form, m)
                 if branch is Branch.GENERIC:
                     generic += 1
-                    assert new1 == _generic_reference(theta1, theta2, form, m)
+                    reference = _generic_reference(theta1, theta2, form, m)
+                    # only _pair fixes a sign, so over Q both sides are compared after primitive()
+                    if field.characteristic:
+                        assert new1 == reference
+                    else:
+                        assert primitive(*new1)[:2] == primitive(*reference)[:2]
                 theta1, theta2 = new1, new2
     assert generic >= 20
 
@@ -685,6 +686,20 @@ def test_window_route_matches_the_tuple_route(monkeypatch, field):
         assert all(window for _, window in routes)
 
 
+@pytest.mark.parametrize("p", [7, 11, 101])
+def test_window_cut_is_the_product_route_cut(monkeypatch, p):
+    # a ramp to degree top carries windows exactly when taylor_window takes its product route at that
+    # degree, the one route that reads i! and 1/i! from poly._factorials; past it a window would cost O(D^2)
+    factorials, calls = poly._factorials, []
+    monkeypatch.setattr(poly, "_factorials", lambda d, q: calls.append(d) or factorials(d, q))
+    cuts = []
+    for top in range(p - 2, p + 2):
+        calls.clear()
+        list(taylor_window(tuple(i % p for i in range(1, top + 2)), 1, 3, p, top + 1))
+        cuts.append((basis._windowed((1, 3, p), top), bool(calls)))
+    assert cuts == [(True, True), (True, True), (False, False), (False, False)], (p, cuts)
+
+
 @pytest.mark.parametrize("field", ROUTE_FIELDS[1:], ids=str)
 def test_update_on_the_window_route_refuses_a_false_multiplicity(monkeypatch, field):
     # the multiplicity's dropped slots must be zero, as every division's remainder is on tuples
@@ -771,7 +786,7 @@ def test_verify_basis_rejects_dependent_members(monkeypatch, field):
             for _ in range(pair.theta1.degree - pair.theta2.degree):
                 high = high.times_linear(alpha)
             dependent = BasisPair(high, pair.theta2)
-            assert dependent.determinant().is_zero()
+            assert saito_determinant(*dependent).is_zero()
             cases.append((arrangement, pair, dependent))
 
     refuse_dense_products(monkeypatch, "verify_basis")
@@ -859,7 +874,7 @@ def test_determinant_matches_the_dense_product(monkeypatch, field):
         pair = BasisPair(theta, other)
         for det, expected in [
             (saito_determinant(theta, other), reference),
-            (pair.determinant(), dense_determinant(pair.theta1, pair.theta2)),
+            (saito_determinant(*pair), dense_determinant(pair.theta1, pair.theta2)),
         ]:
             assert det.field == field
             assert det.degree == theta.degree + other.degree == len(expected) - 1

@@ -91,7 +91,7 @@ def test_parse_errors_carry_line_numbers():
 
 def test_parse_rational_coefficients():
     arr = parse_arrangement_text("field Q\n2 -4/3 5\n")
-    assert arr.forms()[0] == LinearForm(RATIONALS, 1, "-2/3")
+    assert tuple(arr)[0] == LinearForm(RATIONALS, 1, "-2/3")
 
 
 def test_render_round_trip():
@@ -299,7 +299,7 @@ def test_exponents_command_size_limit(tmp_path, capsys, monkeypatch):
 def test_print_pair_prints_integers_past_the_string_digit_limit(capsys):
     big = 10**5000 - 1  # 5000 nines, beyond Python's default 4300-digit limit
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    theta1 = Derivation(HomogPoly.constant(RATIONALS, big), HomogPoly.zero(RATIONALS, 0))
+    theta1 = Derivation(HomogPoly(RATIONALS, [big]), HomogPoly.zero(RATIONALS, 0))
     _print_pair(BasisPair(theta1, Derivation.partial_y(RATIONALS)))
     assert "9" * 5000 in capsys.readouterr().out
     if limit is not None:

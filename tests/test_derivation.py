@@ -226,7 +226,7 @@ def test_verify_rejects_a_large_basis_with_one_coefficient_changed():
 
 def test_saito_determinant():
     dx, dy = Derivation.partial_x(RATIONALS), Derivation.partial_y(RATIONALS)
-    assert saito_determinant(dx, dy) == HomogPoly.constant(RATIONALS, 1)
+    assert saito_determinant(dx, dy) == HomogPoly(RATIONALS, [1])
     x_dx = Derivation(HomogPoly.monomial(RATIONALS, 1, 1), HomogPoly.zero(RATIONALS, 1))
     assert saito_determinant(x_dx, x_dx).is_zero()
 
@@ -257,10 +257,10 @@ def test_plus_scaled():
         HomogPoly.monomial(RATIONALS, 2, 2), HomogPoly(RATIONALS, [0, 1, 0])
     )  # x^2 dx + xy dy
     with pytest.raises(ValueError):
-        x2_dx.plus_scaled(HomogPoly.constant(RATIONALS, 1), y_dy)  # degree mismatch
+        x2_dx.plus_scaled(HomogPoly(RATIONALS, [1]), y_dy)  # degree mismatch
     x_dx = Derivation(HomogPoly.monomial(RATIONALS, 1, 1), HomogPoly.zero(RATIONALS, 1))
     with pytest.raises(ValueError):
-        x_dx.plus_scaled(HomogPoly.constant(RATIONALS, -1), x_dx)  # zero result
+        x_dx.plus_scaled(HomogPoly(RATIONALS, [-1]), x_dx)  # zero result
 
 
 def test_primitive_reduction():

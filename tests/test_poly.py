@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from logvf import Field, HomogPoly, InexactDivisionError, LinearForm, RATIONALS
 from logvf.poly import div_linear_power
 
-from conftest import dense_product
+from conftest import dense_product, kernel_point
 
 F2 = Field(2)
 
@@ -81,9 +81,9 @@ def test_divisibility():
     x2_minus_y2 = P([-1, 0, 1])
     x2_plus_y2 = P([1, 0, 1])
     x_minus_y = LinearForm(RATIONALS, 1, -1)
-    assert not x2_minus_y2.eval_raw(*x_minus_y.point_raw())
-    assert x2_plus_y2.eval_raw(*x_minus_y.point_raw())
-    assert not P([1, 0, 1], F2).eval_raw(*LinearForm(F2, 1, 1).point_raw())
+    assert not x2_minus_y2.eval_raw(*kernel_point(x_minus_y))
+    assert x2_plus_y2.eval_raw(*kernel_point(x_minus_y))
+    assert not P([1, 0, 1], F2).eval_raw(*kernel_point(LinearForm(F2, 1, 1)))
 
 
 def test_div_linear_power():
@@ -107,7 +107,7 @@ def test_div_by_y_form():
 
 
 def test_monomial_and_constant():
-    assert HomogPoly.constant(RATIONALS, 5) == P([5])
+    assert HomogPoly.monomial(RATIONALS, 0, 0, 5) == P([5])  # a constant is a degree-0 monomial
     assert HomogPoly.monomial(RATIONALS, 3, 1, 2) == P([0, 2, 0, 0])
     with pytest.raises(ValueError):
         HomogPoly.monomial(RATIONALS, 2, 3)
@@ -189,7 +189,7 @@ def test_divisibility_predicate_matches_actual_division(p, c, use_y):
         divide(p, form, 1)
     except InexactDivisionError:
         divided_cleanly = False
-    assert (not p.eval_raw(*form.point_raw())) == divided_cleanly
+    assert (not p.eval_raw(*kernel_point(form))) == divided_cleanly
 
 
 def same_degree_pair(field, max_degree=5):
@@ -227,16 +227,15 @@ def monic_form(field, kind, c):
     c=st.integers(-20, 20),
 )
 def test_div_linear_remainder_identity(field, coeffs, kind, c):
-    # h = form*q + r*y^deg (r*x^deg for y), so h(point) = (-1)^deg * r (r for y)
+    # h = form*q + r*y^deg (r*x^deg for y), so h = r at the kernel point (-c, 1), or (1, 0) for y
     h = HomogPoly(field, coeffs)
     form = monic_form(field, kind, c)
     q, r = h._div_linear(form)
     deg = h.degree
     rest = HomogPoly.monomial(field, deg, deg if kind == "y" else 0, r)
     assert q.times_linear(form) + rest == h
-    signed = -r if kind != "y" and deg % 2 else r
     p = field.characteristic
-    assert h.eval_raw(*form.point_raw()) == (signed % p if p else signed)
+    assert h.eval_raw(*kernel_point(form)) == (r % p if p else r)
 
 
 @settings(max_examples=200, deadline=None)

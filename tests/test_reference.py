@@ -91,7 +91,7 @@ def test_rational_lines_of_height_six():
     generic_non_monic = largest = 0
     for i in range(30):
         arrangement = seeded_arrangement(rng, RATIONALS, pool, rng.randint(2, 4), 40 if i % 3 else 12)
-        if not any(form.ax > 1 for form in arrangement.forms()):
+        if not any(form.ax > 1 for form in arrangement):
             mult = dict(arrangement.items())
             mult[rng.choice([f for f in non_monic if f not in mult])] = rng.randint(1, 40)
             arrangement = Multiarrangement(RATIONALS, mult)

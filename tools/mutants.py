@@ -26,7 +26,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-POLY, BASIS, DERIVATION, ORACLE = (f"src/logvf/{name}.py" for name in ("poly", "basis", "derivation", "oracle"))
+POLY, BASIS, DERIVATION, ORACLE, ANALYSIS = (
+    f"src/logvf/{name}.py" for name in ("poly", "basis", "derivation", "oracle", "analysis")
+)
 KERNELS = "tests/test_kernels.py"
 TIMEOUT = 300  # seconds per pytest run
 
@@ -99,7 +101,8 @@ MUTANTS = (
         "tests/test_basis.py",
     ),
     ("update_basis's dropped slots unchecked", BASIS, "            if value:", "            if False:", "tests/test_basis.py"),
-    ("the window route up to degree p", BASIS, "return top < line[2]", "return top <= line[2]", "tests/test_basis.py"),
+    # killed by test_window_cut_is_the_product_route_cut, among others
+    ("the window cut one degree late", BASIS, "return top < line[2]", "return top <= line[2]", "tests/test_basis.py"),
     (
         "a g-vanishing step leaves theta2 its stale div",
         BASIS,
@@ -110,7 +113,14 @@ MUTANTS = (
     ("y's partner x, so det = -1", BASIS, "return (0, 1) if a else (-1, 0)", "return (0, 1) if a else (1, 0)", "tests/test_basis.py"),
     ("the non-monic partner's c with its sign flipped", BASIS, "return (a * d - 1) // b, d", "return (1 - a * d) // b, d", "tests/test_basis.py"),
     ("_primitive's gcd of the quotient alone", BASIS, "k = gcd(*u, *v)", "k = gcd(*u)", "tests/test_basis.py"),
-    ("the sign left unfixed out of the frame", BASIS, "return (f, g) if p else primitive(f, g)[:2]", "return f, g", "tests/test_basis.py"),
+    ("the sign left unfixed in _pair", BASIS, "(primitive(*theta)[:2] for theta in", "(theta for theta in", "tests/test_basis.py"),
+    (
+        "the obstruction test at multiplicity 2",
+        ANALYSIS,
+        "Multiarrangement(theta2.field, {form: 1})",
+        "Multiarrangement(theta2.field, {form: 2})",
+        "tests/test_analysis.py",
+    ),
 )
 
 
